@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .coherence import Book, EventList, IncoherentBookError, check_book, coherent_set, extension_interval
 from .exact import parse_rational, rat_str
@@ -231,13 +230,10 @@ def run_query(query: dict) -> dict:
     raise ValueError(f"unknown op {op!r}")
 
 
-def run_batch(path: str, jobs: int) -> list:
+def run_batch(path: str) -> list:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     queries = doc["queries"] if isinstance(doc, dict) else doc
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_query, queries))
     return [run_query(q) for q in queries]
 
 
@@ -340,7 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="run a JSON file of queries")
     p.add_argument("file")
-    p.add_argument("--jobs", type=int, default=1)
     add_json(p)
     return parser
 
@@ -386,7 +381,7 @@ def main(argv=None) -> int:
                 doc = json.load(fh)
             result = run_unify_generality(doc["identities"], doc["sigma"], doc["tau"], doc["delta"])
         elif args.cmd == "batch":
-            result = run_batch(args.file, args.jobs)
+            result = run_batch(args.file)
         else:  # pragma: no cover
             raise AssertionError(args.cmd)
     except (CapExceeded, FacetDimensionError) as err:

@@ -30,9 +30,12 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 def parse_rational(text: str) -> Rat:
     """Parse "p/q" or "p" (integers only).  Decimal notation is rejected.
 
-    Raises ValueError on anything else; exactness of prices and coordinates
+    Raises ValueError on anything else, including a value that is not a
+    string (a JSON number such as 0.5); exactness of prices and coordinates
     depends on never silently converting through floats.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"not an exact rational (write it as a string p/q): {text!r}")
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not an exact rational (use p/q or an integer): {text!r}")
@@ -66,6 +69,20 @@ def vec_content(values: Iterable[int]) -> int:
     for v in values:
         g = gcd(g, abs(int(v)))
     return g
+
+
+def common_denominator(values: Sequence) -> tuple[list[int], int]:
+    """Integers T and the least positive d with T[i]/d == values[i].
+
+    The values are ints or rationals.  gcd(*T, d) is then 1, so equal
+    vectors give equal pairs.  Numerators and denominators go through
+    int(), which makes the result plain ints on either backend.
+    """
+    d = 1
+    for q in values:
+        den = int(q.denominator)
+        d = d // gcd(d, den) * den
+    return [int(q.numerator) * (d // int(q.denominator)) for q in values], d
 
 
 def integerize(values: Sequence) -> tuple[int, ...]:

@@ -11,6 +11,10 @@ inequality pairs.
 Vertex enumeration is the incremental double-description step: cut a start
 box by one halfspace at a time, generating candidate points on crossing
 segments and keeping exactly those whose tight constraints have full rank.
+The cut computes with integers only: each vertex is also held, privately,
+as an integer numerator tuple over a positive common denominator, reduced
+by gcd, and the sign tests, crossing points and tight tests are integer
+cross-multiplications; Rat tuples are built only for the result's vertices.
 Facet enumeration reduces to vertex enumeration of the polar dual inside the
 affine hull.  Both directions are exact and certified by construction; the
 scale intended here is dimension <= 6.
@@ -20,10 +24,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
+from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import simplex
-from .exact import ONE, Rat, ZERO, det, dot, integerize, mat_rank, nullspace, rat_str, rref
+from .exact import (
+    ONE,
+    Rat,
+    ZERO,
+    common_denominator,
+    det,
+    dot,
+    integerize,
+    mat_rank,
+    nullspace,
+    rat_str,
+    rref,
+)
 
 Point = tuple
 HalfSpace = tuple[tuple[int, ...], int]
@@ -62,12 +80,16 @@ def affine_rank(points: Sequence[Point]) -> int:
 class Polytope:
     """Immutable convex rational polytope; possibly lower-dimensional."""
 
-    __slots__ = ("dim", "_vertices", "_halfspaces")
+    __slots__ = ("dim", "_vertices", "_halfspaces", "_homog")
 
     def __init__(self, dim: int, vertices: tuple[Point, ...], halfspaces=None):
         self.dim = dim
         self._vertices = vertices
         self._halfspaces: tuple[HalfSpace, ...] | None = halfspaces
+        # The vertices as (integer numerators, positive denominator) pairs
+        # reduced by gcd, in vertex order; computed on the first cut and
+        # handed on by `cut` to the polytope it returns.
+        self._homog: tuple[tuple[tuple[int, ...], int], ...] | None = None
 
     # -- constructors -------------------------------------------------------
 
@@ -142,6 +164,13 @@ class Polytope:
             self._halfspaces = _facets(self._vertices, self.dim)
         return self._halfspaces
 
+    def _homogeneous(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        if self._homog is None:
+            self._homog = tuple(
+                (tuple(P), d) for P, d in map(common_denominator, self._vertices)
+            )
+        return self._homog
+
     def affine_dim(self) -> int:
         return affine_rank(self._vertices)
 
@@ -161,45 +190,57 @@ class Polytope:
 
         Candidate vertices from crossing segments are confirmed by the rank
         of their tight constraints, so the result is exact (and may drop a
-        dimension or come back None when the intersection is empty).
+        dimension or come back None when the intersection is empty).  All
+        tests run on the integer-homogeneous vertices: a·(P/d) <= b is
+        a·P <= b·d for d > 0.
         """
         a, b = _norm_halfspace(normal, offset)
-        if all(c == 0 for c in a):
+        if not any(a):
             return self if b >= 0 else None
-        vals = [dot(a, v) - b for v in self._vertices]
-        if all(v <= 0 for v in vals):
-            if any(v == 0 for v in vals) and (a, b) not in self.halfspaces:
-                return Polytope(self.dim, self._vertices, self.halfspaces + ((a, b),))
+        homog = self._homogeneous()
+        signs = [sum(map(mul, a, P)) - b * d for P, d in homog]
+        if all(s <= 0 for s in signs):
+            if 0 in signs and (a, b) not in self.halfspaces:
+                poly = Polytope(self.dim, self._vertices, self.halfspaces + ((a, b),))
+                poly._homog = homog
+                return poly
             return self
-        inside = [v for v, val in zip(self._vertices, vals) if val <= 0]
-        if not inside:
+        # Result vertices, integer form -> Rat tuple: the kept ones first.
+        found = {h: v for h, v, s in zip(homog, self._vertices, signs) if s <= 0}
+        if not found:
             return None
         hs = self.halfspaces
         if (a, b) not in hs:
             hs = hs + ((a, b),)
-        candidates: set[Point] = set()
-        for p, valp in zip(self._vertices, vals):
-            if valp >= 0:
+        candidates: set[tuple[tuple[int, ...], int]] = set()
+        for (P, dp), sp in zip(homog, signs):
+            if sp >= 0:
                 continue
-            for q, valq in zip(self._vertices, vals):
-                if valq <= 0:
+            for (Q, dq), sq in zip(homog, signs):
+                if sq <= 0:
                     continue
-                t = -valp / (valq - valp)
-                z = tuple(x + t * (y - x) for x, y in zip(p, q))
-                candidates.add(z)
-        new_vertices = set(inside)
-        for z in candidates:
-            tight = [n for n, c in hs if dot(n, z) == c]
+                # The point of segment PQ on the hyperplane; dz > 0.
+                Z = [sq * x - sp * y for x, y in zip(P, Q)]
+                dz = sq * dp - sp * dq
+                g = gcd(*Z, dz)
+                if g > 1:
+                    Z = [z // g for z in Z]
+                    dz //= g
+                candidates.add((tuple(Z), dz))
+        for Z, dz in candidates:
+            tight = [n for n, c in hs if sum(map(mul, n, Z)) == c * dz]
             if len(tight) >= self.dim and mat_rank(tight) == self.dim:
-                new_vertices.add(z)
-        verts = tuple(sorted(new_vertices))
-        if not verts:
-            return None
+                found[Z, dz] = tuple(Rat(z, dz) for z in Z)
+        order = sorted(found, key=found.__getitem__)
         # Constraints slack at every vertex are slack on the whole polytope;
         # dropping them keeps cut chains from accumulating dead halfspaces
         # (each vertex keeps its own tight set, so rank tests stay valid).
-        kept = tuple(h for h in hs if any(dot(h[0], v) == h[1] for v in verts))
-        return Polytope(self.dim, verts, kept)
+        kept = tuple(
+            (n, c) for n, c in hs if any(sum(map(mul, n, P)) == c * d for P, d in order)
+        )
+        poly = Polytope(self.dim, tuple(found[h] for h in order), kept)
+        poly._homog = tuple(order)
+        return poly
 
     def intersect(self, other: "Polytope") -> "Polytope | None":
         if other.dim != self.dim:

@@ -251,12 +251,21 @@ class TestBatch:
         assert docs[6] == {"holds": True}
 
     def test_batch_jobs_parallel_same_result(self, tmp_path):
-        queries = [{"events": ["x|y", "x+y"], "book": ["1/2", "1"]} for _ in range(6)]
+        # --jobs is gone: the queries are CPU-bound pure Python, so threads
+        # only added overhead.  The flag is now a usage error.
         path = tmp_path / "batch.json"
-        path.write_text(json.dumps(queries))
-        _, seq, _ = run_cli("batch", str(path), "--json")
-        _, par, _ = run_cli("batch", str(path), "--jobs", "4", "--json")
-        assert seq == par
+        path.write_text(json.dumps([{"events": ["x|y", "x+y"], "book": ["1/2", "1"]}]))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("batch", str(path), "--jobs", "4", "--json")
+        assert exc.value.code == 2
+
+    def test_batch_json_number_price_rejected(self, tmp_path):
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps([{"events": ["x"], "book": [0.5]}]))
+        code, out, err = run_cli("batch", str(path), "--json")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "exact rational" in err
 
     def test_book_as_mapping(self):
         result = run_query({"events": ["x|~x"], "book": {"x|~x": "1/4"}})

@@ -16,7 +16,7 @@ from coh.polytope import (
 )
 from coh.pwl import AffineForm
 
-from util import in_hull_bruteforce
+from util import cube_vertices_bruteforce, in_hull_bruteforce
 
 
 def rp(*vals):
@@ -208,20 +208,32 @@ class TestHalfspaces:
 class TestVertexEnumeration:
     def test_random_cut_sequences_match_grid_oracle(self):
         # Cut the square/cube by random halfspaces; the computed vertex set
-        # must satisfy every halfspace, and every grid point satisfying all
-        # halfspaces must lie in the hull of the computed vertices.
+        # must equal the brute-force vertex set, satisfy every halfspace,
+        # and every grid point satisfying all halfspaces must lie in the hull
+        # of the computed vertices.  Some cuts put vertices at thirds and
+        # sevenths, and some pairs of opposite cuts drop a dimension.
         rng = random.Random(29)
-        for _ in range(25):
+        denominators = set()
+        dropped = 0
+        for _ in range(40):
             dim = rng.randint(1, 3)
             poly = Polytope.cube(dim)
             halfspaces = []
             for _ in range(rng.randint(1, 4)):
-                normal = tuple(rng.randint(-2, 2) for _ in range(dim))
+                normal = [rng.randint(-2, 2) for _ in range(dim)]
+                kind = rng.choice(["plain", "plain", "fine", "equality"])
+                if kind == "fine":
+                    normal[rng.randrange(dim)] = rng.choice([3, 7, -3, -7])
+                normal = tuple(normal)
                 if all(a == 0 for a in normal):
                     continue
                 offset = rng.randint(-1, 2)
-                halfspaces.append((normal, offset))
-                poly = poly.cut(normal, offset)
+                cuts = [(normal, offset)]
+                if kind == "equality":
+                    cuts.append((tuple(-a for a in normal), -offset))
+                for a, b in cuts:
+                    halfspaces.append((a, b))
+                    poly = poly.cut(a, b) if poly is not None else None
                 if poly is None:
                     break
             grid = list(itertools.product([Rat(i, 3) for i in range(4)], repeat=dim))
@@ -230,14 +242,19 @@ class TestVertexEnumeration:
                 for p in grid
                 if all(dot(a, p) <= b for a, b in halfspaces)
             ]
+            expected = cube_vertices_bruteforce(dim, halfspaces)
             if poly is None:
-                assert not satisfied
+                assert not satisfied and not expected
                 continue
+            assert list(poly.vertices) == expected, halfspaces
+            denominators.update(x.denominator for v in poly.vertices for x in v)
+            dropped += poly.affine_dim() < dim
             for v in poly.vertices:
                 assert all(dot(a, v) <= b for a, b in halfspaces)
                 assert all(0 <= x <= 1 for x in v)
             for p in satisfied:
                 assert in_hull_bruteforce(p, poly.vertices), (halfspaces, p)
+        assert {3, 7} <= denominators and dropped >= 5, (denominators, dropped)
 
 
 class TestFacetDimensionCap:

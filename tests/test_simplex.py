@@ -1,7 +1,20 @@
 """Exact simplex: optima, infeasibility certificates, degeneracy."""
 
+import random
+
 from coh.exact import ONE, Rat, ZERO, dot
-from coh.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, bound_linear, feasible_point, maximize, minimize
+from coh.simplex import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    bound_linear,
+    feasible_point,
+    maximize,
+    minimize,
+    solve_standard,
+)
+
+from util import reference_solve_standard
 
 
 class TestBasics:
@@ -91,3 +104,54 @@ class TestBoundLinear:
         lo = bound_linear([1], A, b, "min")
         assert hi.value == Rat(-1, 3)
         assert lo.value == -1
+
+
+def _random_entry(rng):
+    if rng.random() < 0.3:
+        return ZERO
+    return Rat(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 7]))
+
+
+def _random_lp(rng):
+    """A small LP; some rows repeat others (redundant or contradictory).
+
+    Half of them are feasible by construction: b = A x0 for some x0 >= 0
+    with zero entries, which makes the start degenerate.
+    """
+    m, n = rng.randint(1, 4), rng.randint(1, 5)
+    A = [[_random_entry(rng) for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.5:
+        x0 = [abs(_random_entry(rng)) for _ in range(n)]
+        b = [dot(row, x0) for row in A]
+    else:
+        b = [_random_entry(rng) for _ in range(m)]
+    kind = rng.choice(["plain", "redundant", "contradictory"])
+    if kind != "plain":
+        i, j = rng.randrange(m), rng.randrange(m)
+        k = Rat(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2]))
+        A.append([x + k * y for x, y in zip(A[i], A[j])])
+        shift = 0 if kind == "redundant" else rng.choice([-1, 1])
+        b.append(b[i] + k * b[j] + shift)
+    c = [_random_entry(rng) for _ in range(n)]
+    return c, A, b, kind
+
+
+class TestReferenceEquivalence:
+    def test_random_lps_match_rational_tableau(self):
+        # The integer tableau takes the rational tableau's Bland steps, so
+        # status, point, value and Farkas vector must all be equal.
+        rng = random.Random(53)
+        seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+        negative_rhs = redundant_feasible = 0
+        for _ in range(400):
+            c, A, b, kind = _random_lp(rng)
+            res = solve_standard(c, A, b)
+            assert (res.status, res.x, res.value, res.farkas) == reference_solve_standard(c, A, b)
+            seen[res.status] += 1
+            negative_rhs += any(v < 0 for v in b)
+            redundant_feasible += kind == "redundant" and res.status != INFEASIBLE
+            if res.status == INFEASIBLE:
+                assert all(dot(res.farkas, [row[j] for row in A]) <= 0 for j in range(len(c)))
+                assert dot(res.farkas, b) > 0
+        assert min(seen.values()) >= 40, seen
+        assert negative_rhs >= 100 and redundant_feasible >= 40

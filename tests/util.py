@@ -95,3 +95,126 @@ def in_hull_bruteforce(point, vertices) -> bool:
             if all(w >= 0 for w in weights):
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Reference simplex: the rational tableau the library's integer kernel
+# replaced.  It takes the same Bland steps over Rat entries, so its status,
+# point, value and Farkas vector must equal the kernel's exactly.
+
+
+def _ref_pivot(tableau, basis, row, col):
+    inv = Rat(1) / tableau[row][col]
+    tableau[row] = [v * inv for v in tableau[row]]
+    prow = tableau[row]
+    for r, line in enumerate(tableau):
+        if r != row and line[col] != 0:
+            factor = line[col]
+            tableau[r] = [a - factor * b for a, b in zip(line, prow)]
+    basis[row] = col
+
+
+def _ref_run_simplex(tableau, basis, ncols, eligible):
+    while True:
+        obj = tableau[-1]
+        col = next((j for j in range(eligible) if obj[j] < 0), None)
+        if col is None:
+            return "optimal"
+        best_row = best_ratio = None
+        for r in range(len(tableau) - 1):
+            coeff = tableau[r][col]
+            if coeff > 0:
+                ratio = tableau[r][ncols] / coeff
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[r] < basis[best_row])
+                ):
+                    best_ratio, best_row = ratio, r
+        if best_row is None:
+            return "unbounded"
+        _ref_pivot(tableau, basis, best_row, col)
+
+
+def reference_solve_standard(c, A, b):
+    """(status, x, value, farkas) of min c·x s.t. A x = b, x >= 0."""
+    zero, one = Rat(0), Rat(1)
+    m, n = len(A), len(c)
+    rows = [[Rat(v) for v in row] for row in A]
+    rhs = [Rat(v) for v in b]
+    flipped = [False] * m
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            rhs[i] = -rhs[i]
+            flipped[i] = True
+    ncols = n + m
+    tableau = [rows[i] + [one if j == i else zero for j in range(m)] + [rhs[i]] for i in range(m)]
+    obj = [zero] * (ncols + 1)
+    for i in range(m):
+        for j in range(n):
+            obj[j] -= tableau[i][j]
+        obj[ncols] -= tableau[i][ncols]
+    tableau.append(obj)
+    basis = [n + i for i in range(m)]
+    assert _ref_run_simplex(tableau, basis, ncols, n) == "optimal"
+    if tableau[-1][ncols] < 0:
+        y = [one - tableau[-1][n + i] for i in range(m)]
+        return "infeasible", None, None, tuple(-y[i] if flipped[i] else y[i] for i in range(m))
+    for r in range(m):
+        if basis[r] >= n:
+            col = next((j for j in range(n) if tableau[r][j] != 0), None)
+            if col is not None:
+                _ref_pivot(tableau, basis, r, col)
+    keep = [r for r in range(m) if basis[r] < n]
+    tableau2 = [tableau[r][:n] + [tableau[r][ncols]] for r in keep]
+    basis2 = [basis[r] for r in keep]
+    obj2 = [Rat(v) for v in c] + [zero]
+    for r, line in enumerate(tableau2):
+        factor = obj2[basis2[r]]
+        if factor != 0:
+            obj2 = [a - factor * v for a, v in zip(obj2, line)]
+    tableau2.append(obj2)
+    if _ref_run_simplex(tableau2, basis2, n, n) == "unbounded":
+        return "unbounded", None, None, None
+    x = [zero] * n
+    for r, j in enumerate(basis2):
+        x[j] = tableau2[r][n]
+    return "optimal", tuple(x), -tableau2[-1][n], None
+
+
+def _solve_square(rows, rhs):
+    """The unique solution of a square rational system, or None."""
+    n = len(rows)
+    m = [[Rat(x) for x in row] + [Rat(v)] for row, v in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return tuple(m[r][n] for r in range(n))
+
+
+def cube_vertices_bruteforce(dim, halfspaces):
+    """Vertices of the unit cube cut by the halfspaces a·x <= b, sorted.
+
+    A vertex is a feasible point where `dim` of the constraints are tight
+    with linearly independent normals: every dim-subset of constraints is
+    solved and the feasible solutions are kept.
+    """
+    constraints = list(halfspaces)
+    for i in range(dim):
+        unit = tuple(int(j == i) for j in range(dim))
+        constraints.append((unit, 1))
+        constraints.append((tuple(-u for u in unit), 0))
+    found = set()
+    for subset in itertools.combinations(constraints, dim):
+        point = _solve_square([a for a, _ in subset], [b for _, b in subset])
+        if point is not None and all(dot(a, point) <= b for a, b in constraints):
+            found.add(point)
+    return sorted(found)
