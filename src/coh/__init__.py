@@ -51,7 +51,7 @@ from .fplogic import (
     verify_generality,
     verify_unifier,
 )
-from .polytope import MembershipCertificate, Polytope, affine_image, convex_hull, membership, project
+from .polytope import MembershipCertificate, Polytope, convex_hull, membership
 from .pwl import AffineForm, PwlFunction, common_refinement, evaluate, is_tautology, mcnaughton, oneset
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
     "TranslationContext",
     "UnificationProblem",
     "VarContext",
-    "affine_image",
     "canonical_serialize",
     "check_book",
     "coherent_set",
@@ -95,7 +94,6 @@ __all__ = [
     "parse_event",
     "parse_modal",
     "parse_rational",
-    "project",
     "prove",
     "rat_str",
     "translate",

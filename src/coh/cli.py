@@ -9,7 +9,8 @@ document on stdout, byte-identical across identical invocations.
 Exit codes: 0 for any decided query (regardless of verdict), 2 for parse or
 validation errors, 3 when a size cap is exceeded.  Caps (defaults: 6 events,
 4 inner variables, formula depth 12) guard the double-description blow-up;
-COH_MAX_DIM overrides the event cap at your own risk.
+COH_MAX_DIM overrides the event cap at your own risk.  Nesting past the
+parser's own cap (formula.MAX_NESTING) also exits 3.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 
 from .coherence import Book, EventList, IncoherentBookError, check_book, coherent_set, extension_interval
 from .exact import parse_rational, rat_str
-from .formula import ParseError, canonical_serialize, formula_depth, parse_event, parse_modal
+from .formula import NestingError, ParseError, canonical_serialize, formula_depth, parse_event, parse_modal
 from .polytope import FacetDimensionError
 from .fplogic import (
     ProbSubstitution,
@@ -384,7 +385,7 @@ def main(argv=None) -> int:
             result = run_batch(args.file)
         else:  # pragma: no cover
             raise AssertionError(args.cmd)
-    except (CapExceeded, FacetDimensionError) as err:
+    except (CapExceeded, FacetDimensionError, NestingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except (ParseError, ValueError, KeyError, OSError, json.JSONDecodeError) as err:

@@ -11,7 +11,6 @@ re-verified in exact arithmetic before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import simplex
@@ -19,6 +18,7 @@ from .exact import ONE, Rat, ZERO, dot, rat_str, vec_content
 from .formula import Formula, VarContext, canonical_serialize, is_event_formula, parse_event
 from .polytope import Polytope, membership
 from .pwl import PwlFunction, common_refinement, mcnaughton
+from .record import Record
 
 
 class EventList:
@@ -122,13 +122,20 @@ class CoherentSet:
         return best
 
 
-@dataclass
-class CoherenceVerdict:
+class CoherenceVerdict(Record):
     """Exactly one of state_witness / dutch_book is present."""
 
-    coherent: bool
-    state_witness: tuple[list[tuple], list[Rat]] | None = None
-    dutch_book: tuple[tuple[int, ...], Rat] | None = None
+    __slots__ = __match_args__ = ("coherent", "state_witness", "dutch_book")
+
+    def __init__(
+        self,
+        coherent: bool,
+        state_witness: tuple[list[tuple], list[Rat]] | None = None,
+        dutch_book: tuple[tuple[int, ...], Rat] | None = None,
+    ):
+        self.coherent = coherent
+        self.state_witness = state_witness
+        self.dutch_book = dutch_book
 
     def to_json_dict(self) -> dict:
         if self.coherent:

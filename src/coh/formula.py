@@ -19,14 +19,16 @@ Concrete syntax (ASCII):
     atom  := IDENT | "0" | "1" | "(" iff ")" | INT "." atom | "P(" iff ")"
 
 ``P(...)`` is accepted only when parsing modal formulas, and never nested.
+Nesting through "~", "->", parentheses and "n." is capped at MAX_NESTING
+levels, checked before the parser recurses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .exact import ONE, Rat, ZERO
+from .record import Frozen, set_field
 
 
 class ParseError(ValueError):
@@ -37,99 +39,134 @@ class ParseError(ValueError):
         self.offset = offset
 
 
+# The parser recurses one frame deep per "~", "->" and "n." and eight per
+# parenthesis; this cap keeps it well inside the interpreter's default
+# recursion limit of 1000.  Chains of left-associative operators are built
+# by loops and are not counted.
+MAX_NESTING = 100
+
+
+class NestingError(ParseError):
+    """Formula nested deeper than MAX_NESTING; raised before recursing further."""
+
+
 # ---------------------------------------------------------------------------
-# AST nodes.  All are frozen and hashable; equality is structural.
+# AST nodes.  All are frozen and hashable; equality is structural.  Variables,
+# negations and the binary connectives, the bulk of every formula, have
+# explicit methods; the rest use the generic ones of Frozen.
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
+class Var(Frozen):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(frozen=True, slots=True)
-class Bot:
-    pass
+class Bot(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Top:
-    pass
+class Top(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Neg:
-    arg: "Formula"
+class Neg(Frozen):
+    __slots__ = __match_args__ = ("arg",)
+
+    def __init__(self, arg: "Formula"):
+        set_field(self, "arg", arg)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.arg,) == (other.arg,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.arg,))
 
 
-@dataclass(frozen=True, slots=True)
-class OPlus:
-    left: "Formula"
-    right: "Formula"
+class _Binary(Frozen):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: "Formula", right: "Formula"):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True, slots=True)
-class OTimes:
-    left: "Formula"
-    right: "Formula"
+class OPlus(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Imp:
-    left: "Formula"
-    right: "Formula"
+class OTimes(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Imp(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Iff:
-    left: "Formula"
-    right: "Formula"
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Power:
-    arg: "Formula"
-    n: int
+class Iff(_Binary):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+
+class Power(Frozen):
+    __slots__ = __match_args__ = ("arg", "n")
+
+    def __init__(self, arg: "Formula", n: int):
+        if n < 1:
             raise ValueError("power exponent must be >= 1")
+        set_field(self, "arg", arg)
+        set_field(self, "n", n)
 
 
-@dataclass(frozen=True, slots=True)
-class Multiple:
-    n: int
-    arg: "Formula"
+class Multiple(Frozen):
+    __slots__ = __match_args__ = ("n", "arg")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, arg: "Formula"):
+        if n < 1:
             raise ValueError("multiple count must be >= 1")
+        set_field(self, "n", n)
+        set_field(self, "arg", arg)
 
 
-@dataclass(frozen=True, slots=True)
-class PAtom:
+class PAtom(Frozen):
     """Atomic modal formula P(event); the argument is a pure event formula."""
 
-    event: "Formula"
+    __slots__ = __match_args__ = ("event",)
+
+    def __init__(self, event: "Formula"):
+        set_field(self, "event", event)
 
 
 Formula = Union[Var, Bot, Top, Neg, OPlus, OTimes, Imp, Or, And, Iff, Power, Multiple, PAtom]
 
 BOT = Bot()
 TOP = Top()
-
-_BINARY = (OPlus, OTimes, Imp, Or, And, Iff)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +215,7 @@ class _Parser:
         self.pos = 0
         self.modal = modal
         self.in_event = not modal
+        self.nesting = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -192,6 +230,12 @@ class _Parser:
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
+
+    def nest(self, offset: int) -> None:
+        """Enter one more level of recursion, refusing to pass MAX_NESTING."""
+        if self.nesting == MAX_NESTING:
+            raise NestingError(f"formula nesting exceeds the cap of {MAX_NESTING}", offset)
+        self.nesting += 1
 
     def parse(self) -> Formula:
         node = self.iff()
@@ -209,9 +253,12 @@ class _Parser:
 
     def imp(self) -> Formula:
         node = self.disj()
-        if self.peek()[0] == "->":
+        tok = self.peek()
+        if tok[0] == "->":
             self.next()
+            self.nest(tok[2])
             node = Imp(node, self.imp())
+            self.nesting -= 1
         return node
 
     def disj(self) -> Formula:
@@ -243,9 +290,13 @@ class _Parser:
         return node
 
     def unary(self) -> Formula:
-        if self.peek()[0] == "~":
+        tok = self.peek()
+        if tok[0] == "~":
             self.next()
-            return Neg(self.unary())
+            self.nest(tok[2])
+            node = Neg(self.unary())
+            self.nesting -= 1
+            return node
         node = self.atom()
         while self.peek()[0] == "^":
             self.next()
@@ -266,15 +317,22 @@ class _Parser:
                 n = int(value)
                 if n < 1:
                     raise ParseError("multiple count must be >= 1", offset)
-                return Multiple(n, self.atom_with_postfix())
+                # The operand of "n." is an atom; postfix powers bind to the
+                # whole multiple ("3.x^2" is (3.x)^2), so none are consumed here.
+                self.nest(offset)
+                node = Multiple(n, self.atom())
+                self.nesting -= 1
+                return node
             if value == "0":
                 return BOT
             if value == "1":
                 return TOP
             raise ParseError("bare integer constant must be 0 or 1", offset)
         if kind == "(":
+            self.nest(offset)
             node = self.iff()
             self.expect(")")
+            self.nesting -= 1
             return node
         if kind == "PMOD":
             if not self.modal:
@@ -287,11 +345,6 @@ class _Parser:
             self.expect(")")
             return PAtom(event)
         raise ParseError(f"unexpected {value!r}", offset)
-
-    def atom_with_postfix(self) -> Formula:
-        # The operand of "n." is an atom; postfix powers bind to the whole
-        # multiple ("3.x^2" is (3.x)^2), so none are consumed here.
-        return self.atom()
 
 
 def parse_event(text: str) -> Formula:
@@ -334,7 +387,7 @@ def canonical_serialize(formula: Formula) -> str:
             out = "1"
         elif isinstance(node, Neg):
             arg = node.arg
-            if isinstance(arg, _BINARY):
+            if isinstance(arg, _Binary):
                 out = "~(" + walk(arg) + ")"
             else:
                 out = "~" + walk(arg)
@@ -353,7 +406,13 @@ def canonical_serialize(formula: Formula) -> str:
         memo[key] = out
         return out
 
-    return walk(formula)
+    try:
+        return walk(formula)
+    finally:
+        # walk and atomic refer to themselves and each other through their
+        # closure cells; deleting them breaks those cycles, so the memo is
+        # freed on return rather than by the cyclic garbage collector.
+        del walk, atomic
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +468,10 @@ def normalize(formula: Formula) -> Formula:
         memo[key] = out
         return out
 
-    return walk(formula)
+    try:
+        return walk(formula)
+    finally:
+        del walk  # break the closure's self-reference, as in canonical_serialize
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +527,10 @@ def evaluate_formula(formula: Formula, env: dict[str, Rat]) -> Rat:
         memo[key] = out
         return out
 
-    return walk(formula)
+    try:
+        return walk(formula)
+    finally:
+        del walk  # break the closure's self-reference, as in canonical_serialize
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +552,7 @@ def _walk_leaves(formula: Formula, want: type) -> Iterator[Formula]:
                 return
         if isinstance(node, Neg):
             visit(node.arg)
-        elif isinstance(node, _BINARY):
+        elif isinstance(node, _Binary):
             visit(node.left)
             visit(node.right)
         elif isinstance(node, Power):
@@ -497,7 +562,10 @@ def _walk_leaves(formula: Formula, want: type) -> Iterator[Formula]:
         elif isinstance(node, PAtom) and want is not PAtom:
             visit(node.event)
 
-    visit(formula)
+    try:
+        visit(formula)
+    finally:
+        del visit  # break the closure's self-reference, as in canonical_serialize
     return iter(out)
 
 
@@ -561,7 +629,10 @@ def substitute_atoms(formula: Formula, mapping: dict[str, Formula]) -> Formula:
         memo[key] = out
         return out
 
-    return walk(formula)
+    try:
+        return walk(formula)
+    finally:
+        del walk  # break the closure's self-reference, as in canonical_serialize
 
 
 def formula_depth(formula: Formula) -> int:
@@ -586,7 +657,10 @@ def formula_depth(formula: Formula) -> int:
         memo[key] = out
         return out
 
-    return walk(formula)
+    try:
+        return walk(formula)
+    finally:
+        del walk  # break the closure's self-reference, as in canonical_serialize
 
 
 class VarContext:

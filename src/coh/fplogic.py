@@ -20,7 +20,6 @@ whose function is 1 exactly on that polytope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import simplex
@@ -52,6 +51,7 @@ from .formula import (
 )
 from .polytope import Polytope, membership
 from .pwl import common_refinement, mcnaughton, oneset
+from .record import Record
 
 
 class TranslationContext:
@@ -105,14 +105,19 @@ def translate(formula: Formula, ctx: TranslationContext) -> Formula:
         memo[key] = out
         return out
 
-    return walk(formula)
+    try:
+        return walk(formula)
+    finally:
+        del walk  # break the closure's self-reference so the memo is freed now
 
 
-@dataclass
-class ConsequenceResult:
-    holds: bool
-    countermodel: Book | None = None
-    events: EventList | None = None
+class ConsequenceResult(Record):
+    __slots__ = __match_args__ = ("holds", "countermodel", "events")
+
+    def __init__(self, holds: bool, countermodel: Book | None = None, events: EventList | None = None):
+        self.holds = holds
+        self.countermodel = countermodel
+        self.events = events
 
     def to_json_dict(self) -> dict:
         out: dict = {"holds": self.holds}
@@ -340,7 +345,10 @@ def _halfspace_term(normal: Sequence[int], offset: int, ctx: VarContext) -> Form
         memo[key] = out
         return out
 
-    return chain(len(units), target)
+    try:
+        return chain(len(units), target)
+    finally:
+        del chain  # break the closure's self-reference so the memo is freed now
 
 
 class OnesetSynthesisError(AssertionError):

@@ -22,7 +22,6 @@ scale intended here is dimension <= 6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iter_product
 from math import gcd
 from operator import mul
@@ -42,6 +41,7 @@ from .exact import (
     rat_str,
     rref,
 )
+from .record import Record
 
 Point = tuple
 HalfSpace = tuple[tuple[int, ...], int]
@@ -340,8 +340,7 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     return Polytope.from_vertices(points)
 
 
-@dataclass
-class MembershipCertificate:
+class MembershipCertificate(Record):
     """Either convex weights (inside) or a strict separator (outside).
 
     The separator is (normal, threshold, margin): normal·v <= threshold for
@@ -349,9 +348,12 @@ class MembershipCertificate:
     normal is an integer vector of content 1.
     """
 
-    inside: bool
-    weights: tuple | None = None
-    separator: tuple | None = None
+    __slots__ = __match_args__ = ("inside", "weights", "separator")
+
+    def __init__(self, inside: bool, weights: tuple | None = None, separator: tuple | None = None):
+        self.inside = inside
+        self.weights = weights
+        self.separator = separator
 
     def to_json_dict(self) -> dict:
         if self.inside:
@@ -416,14 +418,6 @@ def membership(point: Sequence, poly: Polytope) -> MembershipCertificate:
     if margin <= 0:
         raise AssertionError("separator failed re-verification")
     return MembershipCertificate(inside=False, separator=(normal, threshold, margin))
-
-
-def project(poly: Polytope, coords: Sequence[int]) -> Polytope:
-    return poly.project(coords)
-
-
-def affine_image(poly: Polytope, forms: Sequence) -> Polytope:
-    return poly.affine_image(forms)
 
 
 # ---------------------------------------------------------------------------

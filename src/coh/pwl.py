@@ -14,8 +14,6 @@ cube and agree on shared faces, which the test suite checks exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exact import Rat, dot
 from .formula import (
     And,
@@ -36,14 +34,25 @@ from .formula import (
     free_vars,
 )
 from .polytope import Polytope
+from .record import Frozen, set_field
 
 
-@dataclass(frozen=True, slots=True)
-class AffineForm:
+class AffineForm(Frozen):
     """Integer affine function const + coeffs·x."""
 
-    const: int
-    coeffs: tuple[int, ...]
+    __slots__ = __match_args__ = ("const", "coeffs")
+
+    def __init__(self, const: int, coeffs: tuple[int, ...]):
+        set_field(self, "const", const)
+        set_field(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.const == other.const and self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.const, self.coeffs))
 
     def value(self, point) -> Rat:
         return self.const + dot(self.coeffs, point)
@@ -82,10 +91,20 @@ class AffineForm:
         return cls(0, tuple(1 if i == index else 0 for i in range(arity)))
 
 
-@dataclass(frozen=True, slots=True)
-class LinearCell:
-    polytope: Polytope
-    form: AffineForm
+class LinearCell(Frozen):
+    __slots__ = __match_args__ = ("polytope", "form")
+
+    def __init__(self, polytope: Polytope, form: AffineForm):
+        set_field(self, "polytope", polytope)
+        set_field(self, "form", form)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.polytope, self.form) == (other.polytope, other.form)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.polytope, self.form))
 
 
 class PwlFunction:
@@ -210,7 +229,10 @@ def mcnaughton(formula: Formula, ctx: VarContext) -> PwlFunction:
         memo[key] = cells
         return cells
 
-    return PwlFunction(ctx, rec(formula))
+    try:
+        return PwlFunction(ctx, rec(formula))
+    finally:
+        del rec  # break the closure's self-reference so the memo is freed now
 
 
 def evaluate(func: PwlFunction, point) -> Rat:

@@ -19,23 +19,27 @@ hyperplanes and Dutch-book stakes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
 from .exact import ONE, Rat, ZERO, common_denominator
+from .record import Record
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass
-class LPResult:
-    status: str
-    x: tuple | None = None
-    value: object = None
-    farkas: tuple | None = None
+class LPResult(Record):
+    __slots__ = __match_args__ = ("status", "x", "value", "farkas")
+
+    def __init__(
+        self, status: str, x: tuple | None = None, value: object = None, farkas: tuple | None = None
+    ):
+        self.status = status
+        self.x = x
+        self.value = value
+        self.farkas = farkas
 
 
 def _content(values: list[int], g: int) -> int:

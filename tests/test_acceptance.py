@@ -35,7 +35,7 @@ from coh.fplogic import (
     verify_oneset,
     verify_unifier,
 )
-from coh.polytope import convex_hull, membership, project
+from coh.polytope import convex_hull, membership
 
 from util import farey, random_event, random_event_list, random_modal
 
@@ -75,7 +75,7 @@ def test_c02_three_event_example_and_projections():
     # rebuilt over the same variable context.
     for coords in ([0, 1], [0, 2], [1, 2]):
         pair = EventList([events[c] for c in coords], context=cs.events.context)
-        assert project(cs.polytope, coords) == coherent_set(pair).polytope
+        assert cs.polytope.project(coords) == coherent_set(pair).polytope
     # Non-uniqueness: {x∧y, x⊕y} and {x⊙y, x⊕y} share one coherent set.
     left = coherent_set(["x & y", "x + y"]).polytope
     right = coherent_set(["x * y", "x + y"]).polytope

@@ -138,6 +138,17 @@ class TestErrorsAndCaps:
         code, _, err = run_cli("set", "--events", deep, "--json")
         assert code == 3 and "depth" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["~" * 5000 + "x", "(" * 3000 + "x" + ")" * 3000, "x -> " * 3000 + "x"],
+        ids=["negations", "parentheses", "implications"],
+    )
+    def test_nesting_cap_before_recursion(self, text):
+        code, out, err = run_cli("set", "--events", text, "--json")
+        assert code == 3 and out == ""
+        assert err.startswith("error: formula nesting exceeds the cap of")
+        assert err.count("\n") == 1
+
 
 RATIONAL = {"type": "string", "pattern": r"^-?\d+(/\d+)?$"}
 
@@ -281,3 +292,13 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"holds": True}
+
+
+class TestStartup:
+    def test_import_loads_no_introspection_modules(self):
+        # Each CLI call is a fresh process; inspect and its dependencies
+        # would cost every call more than a small query takes.
+        code = "import sys, coh.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

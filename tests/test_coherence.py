@@ -14,7 +14,7 @@ from coh.coherence import (
 )
 from coh.exact import ONE, Rat, ZERO, dot, vec_content
 from coh.formula import parse_event
-from coh.polytope import convex_hull, membership, project
+from coh.polytope import convex_hull, membership
 
 from util import eval_at, random_event_list
 
@@ -74,7 +74,7 @@ class TestCoherentSet:
             cs = coherent_set(events)
             coords = sorted(rng.sample(range(len(events)), rng.randint(1, len(events) - 1)))
             sub = EventList([events[c] for c in coords], context=cs.events.context)
-            assert project(cs.polytope, coords) == coherent_set(sub).polytope
+            assert cs.polytope.project(coords) == coherent_set(sub).polytope
             checked += 1
 
     def test_duplicate_events_forced_equal(self):

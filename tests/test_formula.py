@@ -1,20 +1,26 @@
 """Parser, canonical text, normalization and pointwise semantics."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coh.exact import Rat
 from coh.formula import (
+    MAX_NESTING,
     And,
     BOT,
     Iff,
     Imp,
     Multiple,
     Neg,
+    NestingError,
     OPlus,
     OTimes,
     Or,
+    PAtom,
     ParseError,
     Power,
     TOP,
@@ -22,6 +28,7 @@ from coh.formula import (
     VarContext,
     canonical_serialize,
     evaluate_formula,
+    formula_depth,
     free_vars,
     normalize,
     parse_event,
@@ -100,6 +107,65 @@ class TestParsing:
                 parser(text)
             except ParseError as err:
                 assert 0 <= err.offset <= len(text)
+
+
+    @pytest.mark.parametrize("opener,closer", [("~", ""), ("(", ")"), ("2.", ""), ("x -> ", "")])
+    def test_nesting_cap(self, opener, closer):
+        at_cap = opener * MAX_NESTING + "x" + closer * MAX_NESTING
+        assert formula_depth(parse_event(at_cap)) == (0 if opener == "(" else MAX_NESTING)
+        with pytest.raises(NestingError) as err:
+            parse_event(opener + at_cap + closer)
+        assert isinstance(err.value, ParseError)
+        assert err.value.offset // len(opener) == MAX_NESTING  # in the first opener past the cap
+
+
+class TestNodes:
+    def test_separately_parsed_formulas_equal_with_equal_hashes(self):
+        for text in ["x + ~y", "(x -> y) <-> 2.(x & y)^3", "x | 0 | 1"]:
+            a, b = parse_event(text), parse_event(text)
+            assert a is not b and a == b and hash(a) == hash(b)
+        a, b = parse_modal("P(x) * P(x + y)"), parse_modal("P(x)*P(x+y)")
+        assert a == b and hash(a) == hash(b)
+
+    def test_equality_is_per_class(self):
+        x, y = Var("x"), Var("y")
+        assert OPlus(x, y) != OTimes(x, y)
+        assert Power(x, 2) != Multiple(2, x)
+        assert Neg(x) != PAtom(x)
+        assert OPlus(x, y) != (x, y)
+        assert OPlus(x, y) != OPlus(y, x)
+
+    def test_fields_are_frozen(self):
+        node = OPlus(Var("x"), Var("y"))
+        for target, field in [(node, "left"), (node.left, "name"), (Power(node, 2), "n"), (BOT, "x")]:
+            with pytest.raises(AttributeError):
+                setattr(target, field, Var("z"))
+        with pytest.raises(AttributeError):
+            del node.right
+        assert node == OPlus(Var("x"), Var("y"))
+        assert copy.deepcopy(node) == node and pickle.loads(pickle.dumps(node)) == node
+
+    def test_counts_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            Power(Var("x"), 0)
+        with pytest.raises(ValueError):
+            Multiple(0, Var("x"))
+
+    def test_hash_is_hash_of_fields(self):
+        x, y = Var("x"), Var("y")
+        assert hash(x) == hash(("x",))
+        assert hash(BOT) == hash(()) == hash(TOP)
+        assert hash(Neg(x)) == hash((x,))
+        assert hash(PAtom(x)) == hash((x,))
+        for cls in (OPlus, OTimes, Imp, Or, And, Iff):
+            assert hash(cls(x, y)) == hash((x, y))
+        assert hash(Power(x, 3)) == hash((x, 3))
+        assert hash(Multiple(3, x)) == hash((3, x))
+
+    def test_keyword_construction_and_repr(self):
+        node = Multiple(n=2, arg=Power(arg=Var(name="x"), n=3))
+        assert node == parse_event("2.(x^3)")
+        assert repr(node) == "Multiple(n=2, arg=Power(arg=Var(name='x'), n=3))"
 
 
 class TestModalParsing:

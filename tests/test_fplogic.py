@@ -1,11 +1,12 @@
 """Modal layer: translation, entailment, synthesis, substitutions, unifiers."""
 
+import gc
 import itertools
 import random
 
 import pytest
 
-from coh.coherence import EventList, coherent_set
+from coh.coherence import EventList, check_book, coherent_set
 from coh.exact import ONE, Rat, ZERO, dot
 from coh.formula import (
     Iff,
@@ -497,3 +498,26 @@ class TestGenerality:
         delta = ProbSubstitution({"y": "P(y)"})
         with pytest.raises(ValueError, match="undefined"):
             verify_generality(sigma, tau, delta, problem)
+
+
+class TestNoReferenceCycles:
+    # The recursive walks keep their memos in closures; a closure that
+    # refers to itself would leave each call's memo to the cyclic collector.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: check_book(["x | y", "x + y"], ["1/2", "1"]),
+            lambda: decide_consequence("P(x)", "P(x) + P(x)"),
+            lambda: canonical_serialize(parse_event("2.(x * y)^2 -> ~(x <-> y)")),
+        ],
+        ids=["check_book", "decide_consequence", "canonical_serialize"],
+    )
+    def test_call_leaves_no_garbage_cycles(self, call):
+        call()
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -6,14 +6,7 @@ import random
 import pytest
 
 from coh.exact import ONE, Rat, ZERO, dot, vec_content
-from coh.polytope import (
-    DimensionError,
-    Polytope,
-    affine_image,
-    convex_hull,
-    membership,
-    project,
-)
+from coh.polytope import DimensionError, Polytope, convex_hull, membership
 from coh.pwl import AffineForm
 
 from util import cube_vertices_bruteforce, in_hull_bruteforce
@@ -116,11 +109,11 @@ class TestMembership:
 class TestProjection:
     def test_tetrahedron_face(self):
         poly = convex_hull([rp(0, 0, 0), rp(1, 0, 0), rp(1, 1, 1), rp(1, "1/2", 0)])
-        assert project(poly, [0, 2]) == convex_hull([rp(0, 0), rp(1, 0), rp(1, 1)])
+        assert poly.project([0, 2]) == convex_hull([rp(0, 0), rp(1, 0), rp(1, 1)])
 
     def test_identity_projection(self):
         poly = convex_hull([rp(0, 0), rp(1, 0), rp("1/2", "1/2")])
-        assert project(poly, [0, 1]) == poly
+        assert poly.project([0, 1]) == poly
 
     def test_projection_contains_projected_vertices(self):
         rng = random.Random(3)
@@ -130,7 +123,7 @@ class TestProjection:
                 for _ in range(rng.randint(2, 7))
             ]
             hull = convex_hull(pts)
-            proj = project(hull, [0, 2])
+            proj = hull.project([0, 2])
             for v in hull.vertices:
                 assert proj.contains((v[0], v[2]))
 
@@ -142,30 +135,30 @@ class TestProjection:
                 for _ in range(rng.randint(2, 6))
             ]
             hull = convex_hull(pts)
-            assert project(project(hull, [0, 1]), [1]) == project(hull, [1])
+            assert hull.project([0, 1]).project([1]) == hull.project([1])
 
     def test_bad_indices(self):
         square = Polytope.cube(2)
         with pytest.raises(DimensionError):
-            project(square, [])
+            square.project([])
         with pytest.raises(DimensionError):
-            project(square, [2])
+            square.project([2])
 
 
 class TestAffineImage:
     def test_identity(self):
         poly = convex_hull([rp(0, 0), rp(1, 0), rp(0, 1)])
         forms = [AffineForm.coordinate(0, 2), AffineForm.coordinate(1, 2)]
-        assert affine_image(poly, forms) == poly
+        assert poly.affine_image(forms) == poly
 
     def test_doubling_leaves_cube(self):
         seg = convex_hull([rp(0), rp(1)])
-        doubled = affine_image(seg, [AffineForm(0, (2,))])
+        doubled = seg.affine_image([AffineForm(0, (2,))])
         assert doubled.vertices == (rp(0), rp(2))
 
     def test_coordinate_swap(self):
         tri = convex_hull([rp(0, 0), rp(1, 1), rp("1/2", 1)])
-        swapped = affine_image(tri, [AffineForm.coordinate(1, 2), AffineForm.coordinate(0, 2)])
+        swapped = tri.affine_image([AffineForm.coordinate(1, 2), AffineForm.coordinate(0, 2)])
         assert swapped == convex_hull([rp(0, 0), rp(1, 1), rp(1, "1/2")])
 
 

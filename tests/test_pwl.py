@@ -5,10 +5,14 @@ from itertools import combinations
 
 import pytest
 
+from coh.coherence import Book, CoherenceVerdict
 from coh.exact import ONE, Rat, ZERO, dot
 from coh.formula import VarContext, parse_event
-from coh.polytope import Polytope, convex_hull
+from coh.fplogic import ConsequenceResult
+from coh.polytope import MembershipCertificate, Polytope, convex_hull
 from coh.pwl import (
+    AffineForm,
+    LinearCell,
     common_refinement,
     evaluate,
     function_range,
@@ -17,6 +21,7 @@ from coh.pwl import (
     oneset,
     refinement_vertices,
 )
+from coh.simplex import LPResult
 
 from util import eval_at, farey, grid_points, random_event
 
@@ -210,3 +215,49 @@ class TestRange:
         assert hi == 0
         lo2, hi2 = function_range(build("x | ~x", "x"))
         assert (lo2, hi2) == (Rat(1, 2), ONE)
+
+
+class TestRecords:
+    def test_cells_of_separate_builds_equal_with_equal_hashes(self):
+        a, b = build("x + ~y", "xy"), build("x + ~y", "xy")
+        assert a.cells == b.cells
+        assert [hash(c) for c in a.cells] == [hash(c) for c in b.cells]
+        assert {c.form for c in a.cells} == {c.form for c in b.cells}
+
+    def test_hash_is_hash_of_fields(self):
+        form = AffineForm(1, (2, -3))
+        cell = LinearCell(Polytope.cube(2), form)
+        assert hash(form) == hash((1, (2, -3)))
+        assert hash(cell) == hash((Polytope.cube(2), form))
+
+    def test_equality_is_per_class(self):
+        form = AffineForm(0, (1,))
+        assert form == AffineForm(const=0, coeffs=(1,))
+        assert form != AffineForm(0, (2,)) and form != (0, (1,))
+        assert LinearCell(Polytope.cube(1), form) != LinearCell(Polytope.cube(1), form.complement())
+
+    def test_frozen(self):
+        form = AffineForm(0, (1,))
+        cell = LinearCell(Polytope.cube(1), form)
+        with pytest.raises(AttributeError):
+            form.const = 1
+        with pytest.raises(AttributeError):
+            cell.form = form.complement()
+        assert cell.form is form
+
+    def test_results_built_by_keyword_compare_by_fields(self):
+        assert LPResult("optimal", x=(ONE,), value=ZERO) == LPResult(status="optimal", x=(ONE,), value=ZERO)
+        assert LPResult("optimal") != LPResult("infeasible")
+        assert MembershipCertificate(inside=True, weights=(ONE,)) == MembershipCertificate(True, (ONE,))
+        assert CoherenceVerdict(coherent=False, dutch_book=((1,), ONE)) == CoherenceVerdict(False, None, ((1,), ONE))
+        assert ConsequenceResult(holds=False, countermodel=Book(())) == ConsequenceResult(False, Book(()))
+        assert ConsequenceResult(holds=True) != LPResult(status=True)
+        assert repr(LPResult("unbounded")) == "LPResult(status='unbounded', x=None, value=None, farkas=None)"
+
+    def test_results_are_mutable_and_unhashable(self):
+        result = LPResult("optimal")
+        result.value = ONE
+        assert result == LPResult("optimal", value=ONE)
+        for record in (result, MembershipCertificate(True), CoherenceVerdict(True), ConsequenceResult(True)):
+            with pytest.raises(TypeError):
+                hash(record)
