@@ -351,40 +351,38 @@ def _split_pairs(items, what: str) -> list[tuple[str, str]]:
     return out
 
 
+# The options that carry over by name into a run_query document.
+_QUERY_FIELDS = ("events", "book", "new", "premise", "conclusion")
+
+
+def _query_of(args) -> dict:
+    """The run_query document of a parsed command line."""
+    query = {key: value for key, value in vars(args).items() if key in _QUERY_FIELDS}
+    if args.cmd == "fp":
+        op = args.fpcmd
+        if op == "prove":
+            query["conclusion"] = args.formula
+    elif args.cmd == "unify":
+        op = "unify-" + args.unifycmd
+        if args.file:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                query.update(json.load(fh))
+        else:
+            query["identities"] = _split_pairs(args.identity, "--identity")
+            query["substitution"] = dict(_split_pairs(args.map, "--map"))
+    else:
+        op = args.cmd
+    query["op"] = op
+    return query
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.cmd == "check":
-            result = run_check(args.events, args.book)
-        elif args.cmd == "set":
-            result = run_set(args.events)
-        elif args.cmd == "extend":
-            result = run_extend(args.events, args.book, args.new)
-        elif args.cmd == "chi":
-            result = run_chi(args.events)
-        elif args.cmd == "ldt":
-            result = run_ldt(args.premise, args.conclusion)
-        elif args.cmd == "fp" and args.fpcmd == "prove":
-            result = run_prove(args.formula)
-        elif args.cmd == "fp" and args.fpcmd == "entail":
-            result = run_entail(args.premise, args.conclusion)
-        elif args.cmd == "unify" and args.unifycmd == "verify":
-            if args.file:
-                with open(args.file, "r", encoding="utf-8") as fh:
-                    doc = json.load(fh)
-                result = run_unify_verify(doc["identities"], doc["substitution"])
-            else:
-                identities = _split_pairs(args.identity, "--identity")
-                mapping = dict(_split_pairs(args.map, "--map"))
-                result = run_unify_verify(identities, mapping)
-        elif args.cmd == "unify" and args.unifycmd == "generality":
-            with open(args.file, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            result = run_unify_generality(doc["identities"], doc["sigma"], doc["tau"], doc["delta"])
-        elif args.cmd == "batch":
+        if args.cmd == "batch":
             result = run_batch(args.file)
-        else:  # pragma: no cover
-            raise AssertionError(args.cmd)
+        else:
+            result = run_query(_query_of(args))
     except (CapExceeded, FacetDimensionError, NestingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -251,7 +251,7 @@ def extension_interval(
     A.append([ONE] * len(verts))
     b = list(bk.prices) + [ONE]
     objective = [v[k] for v in verts]
-    lo_res = simplex.minimize(objective, A, b)
+    lo_res = simplex.solve_standard(objective, A, b)
     hi_res = simplex.maximize(objective, A, b)
     assert lo_res.status == simplex.OPTIMAL and hi_res.status == simplex.OPTIMAL
     return lo_res.value, hi_res.value

@@ -1,4 +1,4 @@
-"""Łukasiewicz formulas: ASTs, parsing, canonical text, normalization.
+"""Łukasiewicz formulas: ASTs, parsing, traversal, canonical text, normalization.
 
 The event language has primitive connectives ⊕ (strong disjunction), ¬ and
 the constant ⊥.  Derived connectives (→, ∨, ∧, ⊙, ↔, powers φ^n and
@@ -20,7 +20,10 @@ Concrete syntax (ASCII):
 
 ``P(...)`` is accepted only when parsing modal formulas, and never nested.
 Nesting through "~", "->", parentheses and "n." is capped at MAX_NESTING
-levels, checked before the parser recurses.
+levels, checked before the parser recurses.  Left-associative chains are
+built by loops and are not capped; every walk over a parsed formula goes
+through :func:`postorder`, which does not recurse, so their depth is
+bounded only by the callers' own caps.
 """
 
 from __future__ import annotations
@@ -358,124 +361,177 @@ def parse_modal(text: str) -> Formula:
 
 
 # ---------------------------------------------------------------------------
+# Traversal.  Every walk over a formula goes through `postorder`, which lists
+# the nodes with an explicit stack instead of recursing: the parser builds
+# left-associative chains ("x + x + ...", "x^2^2...") by loops that the
+# nesting cap does not count, so a formula may be far deeper than the
+# interpreter's recursion limit.
+
+_OPS = {OPlus: "+", OTimes: "*", Imp: "->", Or: "|", And: "&", Iff: "<->"}
+_UNARY = (Neg, Power, Multiple)
+
+
+def postorder(formula: Formula, modal_leaves: bool = False) -> list[Formula]:
+    """The distinct nodes of a formula (by identity), children before parents.
+
+    Children are taken left to right, and a node shared by several parents
+    is listed once, at its first occurrence.  With `modal_leaves` an atom
+    P(event) is a leaf; otherwise its event is walked as its child.
+    """
+    order: list[Formula] = []
+    seen: set[int] = set()
+    stack: list = [formula]
+    while stack:
+        node = stack.pop()
+        if node is None:  # the children of the node below are all listed
+            order.append(stack.pop())
+            continue
+        key = id(node)
+        if key in seen:
+            continue
+        seen.add(key)
+        cls = node.__class__
+        if cls in _OPS:
+            stack += (node, None, node.right, node.left)
+        elif cls in _UNARY:
+            stack += (node, None, node.arg)
+        elif cls is PAtom and not modal_leaves:
+            stack += (node, None, node.event)
+        else:
+            order.append(node)
+    return order
+
+
+def fold(formula: Formula, step, modal_leaves: bool = False):
+    """Compute a value bottom-up: step(node, value) at every node of
+    `postorder`, where value(child) is the result already computed for a
+    child of the node.  Returns the value of the root."""
+    values: dict[int, object] = {}
+
+    def value(child: Formula):
+        return values[id(child)]
+
+    for node in postorder(formula, modal_leaves):
+        values[id(node)] = step(node, value)
+    return values[id(formula)]
+
+
+def rebuild(formula: Formula, leaf) -> Formula:
+    """The formula with every leaf (variable, constant or modal atom P(e))
+    replaced by leaf(node), and every connective rebuilt over the results."""
+
+    def step(node: Formula, new) -> Formula:
+        cls = node.__class__
+        if cls in _OPS:
+            return cls(new(node.left), new(node.right))
+        if cls is Neg:
+            return Neg(new(node.arg))
+        if cls is Power:
+            return Power(new(node.arg), node.n)
+        if cls is Multiple:
+            return Multiple(node.n, new(node.arg))
+        return leaf(node)
+
+    return fold(formula, step, modal_leaves=True)
+
+
+# ---------------------------------------------------------------------------
 # Canonical serialization.  Fully parenthesized binary connectives with a
 # fixed spelling; the output reparses to a structurally identical AST and is
 # used as the key for fresh propositional variables in the modal translation.
 
-_OPS = {OPlus: "+", OTimes: "*", Imp: "->", Or: "|", And: "&", Iff: "<->"}
+
+def _operand(node: Formula, text) -> str:
+    """Text usable as the operand of "n." or "^" without parentheses."""
+    if isinstance(node, (Var, Bot, Top, Multiple, PAtom)):
+        return text(node)
+    return "(" + text(node) + ")"
+
+
+def _text(node: Formula, text) -> str:
+    cls = node.__class__
+    if cls in _OPS:
+        return "(" + text(node.left) + " " + _OPS[cls] + " " + text(node.right) + ")"
+    if cls is Var:
+        return node.name
+    if cls is Neg:
+        arg = node.arg
+        if isinstance(arg, _Binary):
+            return "~(" + text(arg) + ")"
+        return "~" + text(arg)
+    if cls is Bot:
+        return "0"
+    if cls is Top:
+        return "1"
+    if cls is Power:
+        base = node.arg
+        head = text(base) if isinstance(base, Power) else _operand(base, text)
+        return head + "^" + str(node.n)
+    if cls is Multiple:
+        return str(node.n) + "." + _operand(node.arg, text)
+    return "P(" + text(node.event) + ")"
 
 
 def canonical_serialize(formula: Formula) -> str:
-    memo: dict[int, str] = {}
-
-    def atomic(node: Formula) -> str:
-        # Something usable as the operand of "n." or "^" without parentheses.
-        if isinstance(node, (Var, Bot, Top, Multiple, PAtom)):
-            return walk(node)
-        return "(" + walk(node) + ")"
-
-    def walk(node: Formula) -> str:
-        key = id(node)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(node, Var):
-            out = node.name
-        elif isinstance(node, Bot):
-            out = "0"
-        elif isinstance(node, Top):
-            out = "1"
-        elif isinstance(node, Neg):
-            arg = node.arg
-            if isinstance(arg, _Binary):
-                out = "~(" + walk(arg) + ")"
-            else:
-                out = "~" + walk(arg)
-        elif isinstance(node, Power):
-            base = node.arg
-            if isinstance(base, Power):
-                out = walk(base) + "^" + str(node.n)
-            else:
-                out = atomic(base) + "^" + str(node.n)
-        elif isinstance(node, Multiple):
-            out = str(node.n) + "." + atomic(node.arg)
-        elif isinstance(node, PAtom):
-            out = "P(" + walk(node.event) + ")"
-        else:
-            out = "(" + walk(node.left) + " " + _OPS[type(node)] + " " + walk(node.right) + ")"
-        memo[key] = out
-        return out
-
-    try:
-        return walk(formula)
-    finally:
-        # walk and atomic refer to themselves and each other through their
-        # closure cells; deleting them breaks those cycles, so the memo is
-        # freed on return rather than by the cyclic garbage collector.
-        del walk, atomic
+    return fold(formula, _text)
 
 
 # ---------------------------------------------------------------------------
 # Normalization to the primitive basis {⊕, ¬, ⊥, variables}.
 
 
+def _imp(a: Formula, b: Formula) -> Formula:
+    return OPlus(Neg(a), b)
+
+
+def _primitive(node: Formula, new) -> Formula:
+    cls = node.__class__
+    if cls is Var or cls is Bot or cls is PAtom:
+        return node
+    if cls is Top:
+        return Neg(BOT)
+    if cls is Neg:
+        return Neg(new(node.arg))
+    if cls is OPlus:
+        return OPlus(new(node.left), new(node.right))
+    if cls is OTimes:
+        return Neg(OPlus(Neg(new(node.left)), Neg(new(node.right))))
+    if cls is Imp:
+        return _imp(new(node.left), new(node.right))
+    if cls is Or:
+        a, b = new(node.left), new(node.right)
+        return _imp(_imp(a, b), b)
+    if cls is And:
+        a, b = new(node.left), new(node.right)
+        return Neg(_imp(_imp(Neg(a), Neg(b)), Neg(b)))
+    if cls is Iff:
+        a, b = new(node.left), new(node.right)
+        left, right = _imp(a, b), _imp(b, a)
+        return Neg(_imp(_imp(Neg(left), Neg(right)), Neg(right)))
+    if cls is Power:
+        out = base = new(node.arg)
+        for _ in range(node.n - 1):
+            out = Neg(OPlus(Neg(out), Neg(base)))
+        return out
+    if cls is Multiple:
+        out = base = new(node.arg)
+        for _ in range(node.n - 1):
+            out = OPlus(out, base)
+        return out
+    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+
+
 def normalize(formula: Formula) -> Formula:
     """Rewrite into the primitive basis.  Total and idempotent."""
-    memo: dict[int, Formula] = {}
-
-    def imp(a: Formula, b: Formula) -> Formula:
-        return OPlus(Neg(a), b)
-
-    def walk(node: Formula) -> Formula:
-        key = id(node)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(node, (Var, Bot, PAtom)):
-            out: Formula = node
-        elif isinstance(node, Top):
-            out = Neg(BOT)
-        elif isinstance(node, Neg):
-            out = Neg(walk(node.arg))
-        elif isinstance(node, OPlus):
-            out = OPlus(walk(node.left), walk(node.right))
-        elif isinstance(node, OTimes):
-            out = Neg(OPlus(Neg(walk(node.left)), Neg(walk(node.right))))
-        elif isinstance(node, Imp):
-            out = imp(walk(node.left), walk(node.right))
-        elif isinstance(node, Or):
-            a, b = walk(node.left), walk(node.right)
-            out = imp(imp(a, b), b)
-        elif isinstance(node, And):
-            a, b = walk(node.left), walk(node.right)
-            out = Neg(imp(imp(Neg(a), Neg(b)), Neg(b)))
-        elif isinstance(node, Iff):
-            a, b = walk(node.left), walk(node.right)
-            left, right = imp(a, b), imp(b, a)
-            out = Neg(imp(imp(Neg(left), Neg(right)), Neg(right)))
-        elif isinstance(node, Power):
-            out = walk(node.arg)
-            base = out
-            for _ in range(node.n - 1):
-                out = Neg(OPlus(Neg(out), Neg(base)))
-        elif isinstance(node, Multiple):
-            out = walk(node.arg)
-            base = out
-            for _ in range(node.n - 1):
-                out = OPlus(out, base)
-        else:  # pragma: no cover
-            raise TypeError(f"unknown node {node!r}")
-        memo[key] = out
-        return out
-
-    try:
-        return walk(formula)
-    finally:
-        del walk  # break the closure's self-reference, as in canonical_serialize
+    return fold(formula, _primitive, modal_leaves=True)
 
 
 # ---------------------------------------------------------------------------
 # Pointwise evaluation over exact rationals (the semantics oracle).
+
+
+def _clamp01(x: Rat) -> Rat:
+    return ZERO if x < 0 else ONE if x > 1 else x
 
 
 def evaluate_formula(formula: Formula, env: dict[str, Rat]) -> Rat:
@@ -484,100 +540,48 @@ def evaluate_formula(formula: Formula, env: dict[str, Rat]) -> Rat:
     Derived connectives are evaluated by their closed forms (max, min, ...),
     which a property test checks against evaluating their expansions.
     """
-    memo: dict[int, Rat] = {}
 
-    def clamp01(x: Rat) -> Rat:
-        return ZERO if x < 0 else ONE if x > 1 else x
-
-    def walk(node: Formula) -> Rat:
-        key = id(node)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(node, Var):
+    def step(node: Formula, val) -> Rat:
+        cls = node.__class__
+        if cls is Var:
             try:
-                out = Rat(env[node.name])
+                return Rat(env[node.name])
             except KeyError:
                 raise ValueError(f"unbound variable {node.name!r}") from None
-        elif isinstance(node, Bot):
-            out = ZERO
-        elif isinstance(node, Top):
-            out = ONE
-        elif isinstance(node, Neg):
-            out = ONE - walk(node.arg)
-        elif isinstance(node, OPlus):
-            out = clamp01(walk(node.left) + walk(node.right))
-        elif isinstance(node, OTimes):
-            out = clamp01(walk(node.left) + walk(node.right) - 1)
-        elif isinstance(node, Imp):
-            out = clamp01(ONE - walk(node.left) + walk(node.right))
-        elif isinstance(node, Or):
-            out = max(walk(node.left), walk(node.right))
-        elif isinstance(node, And):
-            out = min(walk(node.left), walk(node.right))
-        elif isinstance(node, Iff):
-            a, b = walk(node.left), walk(node.right)
-            out = ONE - abs(a - b)
-        elif isinstance(node, Power):
-            out = clamp01(node.n * walk(node.arg) - (node.n - 1))
-        elif isinstance(node, Multiple):
-            out = clamp01(node.n * walk(node.arg))
-        else:
-            raise TypeError(f"cannot evaluate modal atom {node!r} pointwise")
-        memo[key] = out
-        return out
+        if cls is Bot:
+            return ZERO
+        if cls is Top:
+            return ONE
+        if cls is Neg:
+            return ONE - val(node.arg)
+        if cls is OPlus:
+            return _clamp01(val(node.left) + val(node.right))
+        if cls is OTimes:
+            return _clamp01(val(node.left) + val(node.right) - 1)
+        if cls is Imp:
+            return _clamp01(ONE - val(node.left) + val(node.right))
+        if cls is Or:
+            return max(val(node.left), val(node.right))
+        if cls is And:
+            return min(val(node.left), val(node.right))
+        if cls is Iff:
+            return ONE - abs(val(node.left) - val(node.right))
+        if cls is Power:
+            return _clamp01(node.n * val(node.arg) - (node.n - 1))
+        if cls is Multiple:
+            return _clamp01(node.n * val(node.arg))
+        raise TypeError(f"cannot evaluate modal atom {node!r} pointwise")
 
-    try:
-        return walk(formula)
-    finally:
-        del walk  # break the closure's self-reference, as in canonical_serialize
+    return fold(formula, step, modal_leaves=True)
 
 
 # ---------------------------------------------------------------------------
 # Variable bookkeeping.
 
 
-def _walk_leaves(formula: Formula, want: type) -> Iterator[Formula]:
-    seen: set[int] = set()
-    stack = [formula]
-    out = []
-
-    def visit(node: Formula):
-        if id(node) in seen:
-            return
-        seen.add(id(node))
-        if isinstance(node, want):
-            out.append(node)
-            if not isinstance(node, PAtom):
-                return
-        if isinstance(node, Neg):
-            visit(node.arg)
-        elif isinstance(node, _Binary):
-            visit(node.left)
-            visit(node.right)
-        elif isinstance(node, Power):
-            visit(node.arg)
-        elif isinstance(node, Multiple):
-            visit(node.arg)
-        elif isinstance(node, PAtom) and want is not PAtom:
-            visit(node.event)
-
-    try:
-        visit(formula)
-    finally:
-        del visit  # break the closure's self-reference, as in canonical_serialize
-    return iter(out)
-
-
 def free_vars(formula: Formula) -> tuple[str, ...]:
     """Variable names in order of first occurrence (left-to-right)."""
-    names: list[str] = []
-    seen: set[str] = set()
-    for leaf in _walk_leaves(formula, Var):
-        if leaf.name not in seen:
-            seen.add(leaf.name)
-            names.append(leaf.name)
-    return tuple(names)
+    return tuple(dict.fromkeys(node.name for node in postorder(formula) if node.__class__ is Var))
 
 
 def modal_atoms(formula: Formula) -> tuple[Formula, ...]:
@@ -586,19 +590,16 @@ def modal_atoms(formula: Formula) -> tuple[Formula, ...]:
     Events are identified by canonical text: syntactically distinct but
     logically equivalent events count as different atoms.
     """
-    events: list[Formula] = []
-    seen: set[str] = set()
-    for leaf in _walk_leaves(formula, PAtom):
-        key = canonical_serialize(leaf.event)
-        if key not in seen:
-            seen.add(key)
-            events.append(leaf.event)
-    return tuple(events)
+    events: dict[str, Formula] = {}
+    for node in postorder(formula, modal_leaves=True):
+        if node.__class__ is PAtom:
+            events.setdefault(canonical_serialize(node.event), node.event)
+    return tuple(events.values())
 
 
 def is_event_formula(formula: Formula) -> bool:
     """True when the formula contains no modal atom."""
-    return not any(True for _ in _walk_leaves(formula, PAtom))
+    return all(node.__class__ is not PAtom for node in postorder(formula, modal_leaves=True))
 
 
 def substitute_atoms(formula: Formula, mapping: dict[str, Formula]) -> Formula:
@@ -607,60 +608,29 @@ def substitute_atoms(formula: Formula, mapping: dict[str, Formula]) -> Formula:
     Raises KeyError when an atom has no image; used to apply probabilistic
     substitutions and to compose them.
     """
-    memo: dict[int, Formula] = {}
 
-    def walk(node: Formula) -> Formula:
-        key = id(node)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(node, PAtom):
-            out = mapping[canonical_serialize(node.event)]
-        elif isinstance(node, (Var, Bot, Top)):
-            out = node
-        elif isinstance(node, Neg):
-            out = Neg(walk(node.arg))
-        elif isinstance(node, Power):
-            out = Power(walk(node.arg), node.n)
-        elif isinstance(node, Multiple):
-            out = Multiple(node.n, walk(node.arg))
-        else:
-            out = type(node)(walk(node.left), walk(node.right))
-        memo[key] = out
-        return out
+    def image(node: Formula) -> Formula:
+        if node.__class__ is PAtom:
+            return mapping[canonical_serialize(node.event)]
+        return node
 
-    try:
-        return walk(formula)
-    finally:
-        del walk  # break the closure's self-reference, as in canonical_serialize
+    return rebuild(formula, image)
+
+
+def _depth(node: Formula, depth) -> int:
+    cls = node.__class__
+    if cls in _OPS:
+        return 1 + max(depth(node.left), depth(node.right))
+    if cls in _UNARY:
+        return 1 + depth(node.arg)
+    if cls is PAtom:
+        return 1 + depth(node.event)
+    return 0
 
 
 def formula_depth(formula: Formula) -> int:
     """Connective nesting depth (leaves have depth 0)."""
-    memo: dict[int, int] = {}
-
-    def walk(node: Formula) -> int:
-        key = id(node)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(node, (Var, Bot, Top)):
-            out = 0
-        elif isinstance(node, Neg):
-            out = 1 + walk(node.arg)
-        elif isinstance(node, (Power, Multiple)):
-            out = 1 + walk(node.arg)
-        elif isinstance(node, PAtom):
-            out = 1 + walk(node.event)
-        else:
-            out = 1 + max(walk(node.left), walk(node.right))
-        memo[key] = out
-        return out
-
-    try:
-        return walk(formula)
-    finally:
-        del walk  # break the closure's self-reference, as in canonical_serialize
+    return fold(formula, _depth)
 
 
 class VarContext:

@@ -47,10 +47,11 @@ from .formula import (
     modal_atoms,
     parse_event,
     parse_modal,
+    rebuild,
     substitute_atoms,
 )
 from .polytope import Polytope, membership
-from .pwl import common_refinement, mcnaughton, oneset
+from .pwl import common_refinement, mcnaughton, oneset, oneset_piece
 from .record import Record
 
 
@@ -81,34 +82,15 @@ class TranslationContext:
 
 def translate(formula: Formula, ctx: TranslationContext) -> Formula:
     """Map a modal formula to the book-space event formula over fresh vars."""
-    memo: dict[int, Formula] = {}
 
-    def walk(node: Formula) -> Formula:
-        key = id(node)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
+    def leaf(node: Formula) -> Formula:
         if isinstance(node, PAtom):
-            out: Formula = Var(ctx.var_for(node.event))
-        elif isinstance(node, (Bot, Top)):
-            out = node
-        elif isinstance(node, Var):
+            return Var(ctx.var_for(node.event))
+        if isinstance(node, Var):
             raise TypeError("bare propositional variable in a modal formula")
-        elif isinstance(node, Neg):
-            out = Neg(walk(node.arg))
-        elif isinstance(node, Power):
-            out = Power(walk(node.arg), node.n)
-        elif isinstance(node, Multiple):
-            out = Multiple(node.n, walk(node.arg))
-        else:
-            out = type(node)(walk(node.left), walk(node.right))
-        memo[key] = out
-        return out
+        return node
 
-    try:
-        return walk(formula)
-    finally:
-        del walk  # break the closure's self-reference so the memo is freed now
+    return rebuild(formula, leaf)
 
 
 class ConsequenceResult(Record):
@@ -150,7 +132,7 @@ def _min_affine_over(
     A.append([ONE] * m + [ZERO] * n_slack)
     rhs.append(ONE)
     c = list(objective) + [ZERO] * n_slack
-    res = simplex.minimize(c, A, rhs)
+    res = simplex.solve_standard(c, A, rhs)
     if res.status == simplex.INFEASIBLE:
         return False, None, None
     assert res.status == simplex.OPTIMAL
@@ -190,11 +172,7 @@ def decide_consequence(premise: Formula | str, conclusion: Formula | str) -> Con
     f_psi = mcnaughton(psi_t, pctx)
 
     for cell in f_phi.cells:
-        form = cell.form
-        piece = cell.polytope.cut(form.coeffs, 1 - form.const)
-        if piece is None:
-            continue
-        piece = piece.cut(tuple(-c for c in form.coeffs), form.const - 1)
+        piece = oneset_piece(cell)
         if piece is None:
             continue
         feasible, _, _ = _min_affine_over(verts, piece.halfspaces, [ZERO] * len(verts))

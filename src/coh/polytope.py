@@ -381,7 +381,7 @@ def _lexmin_weights(points: Sequence[Point], target: Point) -> tuple:
     for j in range(n):
         cost = [ZERO] * n
         cost[j] = ONE
-        res = simplex.minimize(cost, A, b)
+        res = simplex.solve_standard(cost, A, b)
         assert res.status == simplex.OPTIMAL
         wj = res.x[j]
         fixed.append(wj)

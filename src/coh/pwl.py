@@ -1,12 +1,16 @@
 """McNaughton functions as exact polyhedral complexes.
 
-The function of a formula is built by structural recursion: a variable is a
-projection on the unit cube, negation flips forms cellwise, and every binary
-connective overlays the two operand complexes and splits each overlay cell
-along the single hyperplane where the connective's min/max expression
-switches branch.  Powers and multiples split along one hyperplane as well
-(n·f - (n-1) and n·f - 1), so derived connectives never expand into their
-primitive-basis form here.
+The function of a formula is built in one pass over its nodes in postorder
+(`formula.postorder`), on a single list of cells.  A variable or constant
+gives every cell one affine form and negation complements it.  Every other
+connective is one row (switch, low, high) of affine forms computed from its
+operands' forms on the cell: its function is `low` where switch <= 0 and
+`high` where switch >= 0.  A cell is split only where that switch hyperplane
+crosses it, so no two complexes are ever overlaid.  Powers and multiples are
+rows too (n·f - (n-1) and n·f - 1), so derived connectives never expand into
+their primitive-basis form here.  The cells, and their order, are those of
+overlaying the operand complexes at every connective ("One-pass complexes"
+in docs/design-notes.md).
 
 Every cell carries one integer affine form; the cells of a complex cover the
 cube and agree on shared faces, which the test suite checks exactly.
@@ -32,6 +36,7 @@ from .formula import (
     Var,
     VarContext,
     free_vars,
+    postorder,
 )
 from .polytope import Polytope
 from .record import Frozen, set_field
@@ -124,115 +129,107 @@ class PwlFunction:
         return f"PwlFunction(arity={self.arity}, cells={len(self.cells)})"
 
 
-def _split(
-    cell: Polytope, switch: AffineForm, low: AffineForm, high: AffineForm
-) -> list[LinearCell]:
-    """Cells for a function equal to `low` where switch <= 0 and `high` above.
+def _sides(cell: Polytope, normal, offset) -> tuple[Polytope | None, Polytope | None]:
+    """The parts of a full-dimensional cell with normal·x <= offset and >= offset.
 
-    `low` and `high` agree on the switching hyperplane by construction of the
-    callers, so both closed sides may keep it.
+    A hyperplane that crosses the cell's interior cuts it in two; otherwise
+    the whole cell is the part on its side (the low side when the form
+    normal·x - offset vanishes on it) and the other part is None.  Either
+    way both parts are full-dimensional.
     """
-    vals = [switch.value(v) for v in cell.vertices]
+    vals = [dot(normal, v) - offset for v in cell.vertices]
     if all(v <= 0 for v in vals):
-        return [LinearCell(cell, low)]
+        return cell, None
     if all(v >= 0 for v in vals):
-        return [LinearCell(cell, high)]
-    out = []
-    low_cell = cell.cut(switch.coeffs, -switch.const)
-    if low_cell is not None:
-        out.append(LinearCell(low_cell, low))
-    high_cell = cell.cut(tuple(-c for c in switch.coeffs), switch.const)
-    if high_cell is not None:
-        out.append(LinearCell(high_cell, high))
-    return out
+        return None, cell
+    return cell.cut(normal, offset), cell.cut(tuple(-c for c in normal), -offset)
 
 
-def _combine(a_cells: list[LinearCell], b_cells: list[LinearCell], op: str, dim: int):
-    one = AffineForm.constant(1, dim)
-    zero = AffineForm.constant(0, dim)
-    out: list[LinearCell] = []
-    for ca in a_cells:
-        for cb in b_cells:
-            region = ca.polytope.intersect(cb.polytope)
-            if region is None or region.affine_dim() < dim:
-                continue
-            fa, fb = ca.form, cb.form
-            if op == "oplus":  # min(1, a+b)
-                out.extend(_split(region, (fa + fb) - one, fa + fb, one))
-            elif op == "otimes":  # max(0, a+b-1)
-                out.extend(_split(region, (fa + fb) - one, zero, (fa + fb) - one))
-            elif op == "and":  # min(a, b)
-                out.extend(_split(region, fa - fb, fa, fb))
-            elif op == "or":  # max(a, b)
-                out.extend(_split(region, fa - fb, fb, fa))
-            elif op == "imp":  # min(1, 1-a+b)
-                out.extend(_split(region, fb - fa, fa.complement() + fb, one))
-            elif op == "iff":  # 1 - |a-b|
-                out.extend(_split(region, fa - fb, fb.complement() + fa, fa.complement() + fb))
-            else:  # pragma: no cover
-                raise ValueError(op)
-    return out
+# The function of each connective as one row (switch, low, high): it is
+# `low` where switch <= 0 and `high` where switch >= 0, and the two agree
+# where switch = 0.  A row takes the constant forms 1 and 0, the node and
+# the forms of the node's operands.
+_ROWS = {
+    OPlus: lambda one, zero, node, a, b: ((a + b) - one, a + b, one),  # min(1, a+b)
+    OTimes: lambda one, zero, node, a, b: ((a + b) - one, zero, (a + b) - one),  # max(0, a+b-1)
+    And: lambda one, zero, node, a, b: (a - b, a, b),  # min(a, b)
+    Or: lambda one, zero, node, a, b: (a - b, b, a),  # max(a, b)
+    Imp: lambda one, zero, node, a, b: (b - a, a.complement() + b, one),  # min(1, 1-a+b)
+    Iff: lambda one, zero, node, a, b: (a - b, b.complement() + a, a.complement() + b),  # 1-|a-b|
+    Multiple: lambda one, zero, node, a: (  # min(1, n·a)
+        a.scaled(node.n).shifted(-1), a.scaled(node.n), one
+    ),
+    Power: lambda one, zero, node, a: (  # max(0, n·a - (n-1))
+        a.scaled(node.n).shifted(-(node.n - 1)), zero, a.scaled(node.n).shifted(-(node.n - 1))
+    ),
+}
+
+
+def _operands(node: Formula) -> tuple:
+    cls = node.__class__
+    if cls is Neg or cls is Multiple or cls is Power:
+        return (node.arg,)
+    if cls in _ROWS:
+        return (node.left, node.right)
+    return ()
 
 
 def mcnaughton(formula: Formula, ctx: VarContext) -> PwlFunction:
-    """The function of an event formula over the coordinates of `ctx`."""
+    """The function of an event formula over the coordinates of `ctx`.
+
+    One pass over the nodes in postorder refines a single cell list.  Each
+    cell maps a node to its form on the cell, for the nodes whose parents
+    are still to come; a connective splits a cell only where its switch
+    hyperplane crosses it.
+    """
     for name in free_vars(formula):
         if name not in ctx.index:
             raise ValueError(f"unknown variable {name!r} for context {list(ctx.names)}")
     n = ctx.arity
-    cube = Polytope.cube(n)
-    memo: dict[int, list[LinearCell]] = {}
-
-    def rec(node: Formula) -> list[LinearCell]:
+    one, zero = AffineForm.constant(1, n), AffineForm.constant(0, n)
+    nodes = postorder(formula, modal_leaves=True)
+    last_read: dict[int, int] = {}
+    for i, node in enumerate(nodes):
+        for arg in _operands(node):
+            last_read[id(arg)] = i
+    cells: list[tuple[Polytope, dict[int, AffineForm]]] = [(Polytope.cube(n), {})]
+    for i, node in enumerate(nodes):
         key = id(node)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(node, Var):
-            cells = [LinearCell(cube, AffineForm.coordinate(ctx.position(node.name), n))]
-        elif isinstance(node, Bot):
-            cells = [LinearCell(cube, AffineForm.constant(0, n))]
-        elif isinstance(node, Top):
-            cells = [LinearCell(cube, AffineForm.constant(1, n))]
-        elif isinstance(node, Neg):
-            cells = [LinearCell(c.polytope, c.form.complement()) for c in rec(node.arg)]
-        elif isinstance(node, OPlus):
-            cells = _combine(rec(node.left), rec(node.right), "oplus", n)
-        elif isinstance(node, OTimes):
-            cells = _combine(rec(node.left), rec(node.right), "otimes", n)
-        elif isinstance(node, And):
-            cells = _combine(rec(node.left), rec(node.right), "and", n)
-        elif isinstance(node, Or):
-            cells = _combine(rec(node.left), rec(node.right), "or", n)
-        elif isinstance(node, Imp):
-            cells = _combine(rec(node.left), rec(node.right), "imp", n)
-        elif isinstance(node, Iff):
-            cells = _combine(rec(node.left), rec(node.right), "iff", n)
-        elif isinstance(node, Multiple):
-            cells = []
-            for c in rec(node.arg):
-                scaled = c.form.scaled(node.n)
-                cells.extend(
-                    _split(c.polytope, scaled.shifted(-1), scaled, AffineForm.constant(1, n))
-                )
-        elif isinstance(node, Power):
-            cells = []
-            for c in rec(node.arg):
-                shifted = c.form.scaled(node.n).shifted(-(node.n - 1))
-                cells.extend(
-                    _split(c.polytope, shifted, AffineForm.constant(0, n), shifted)
-                )
-        elif isinstance(node, PAtom):
+        args = [id(arg) for arg in _operands(node)]
+        done = {arg for arg in args if last_read[arg] == i}
+        cls = node.__class__
+        row = _ROWS.get(cls)
+        if row is not None:
+            split = []
+            for cell, forms in cells:
+                switch, low, high = row(one, zero, node, *[forms[arg] for arg in args])
+                for arg in done:
+                    del forms[arg]
+                for part, form in zip(_sides(cell, switch.coeffs, -switch.const), (low, high)):
+                    if part is not None:
+                        split.append((part, {**forms, key: form}))
+            cells = split
+            continue
+        if cls is Neg:
+            for _, forms in cells:
+                forms[key] = forms[args[0]].complement()
+                for arg in done:
+                    del forms[arg]
+            continue
+        if cls is Var:
+            form = AffineForm.coordinate(ctx.position(node.name), n)
+        elif cls is Bot:
+            form = zero
+        elif cls is Top:
+            form = one
+        elif cls is PAtom:
             raise TypeError("modal atom has no McNaughton function; translate it first")
         else:  # pragma: no cover
             raise TypeError(f"unknown node {node!r}")
-        memo[key] = cells
-        return cells
-
-    try:
-        return PwlFunction(ctx, rec(formula))
-    finally:
-        del rec  # break the closure's self-reference so the memo is freed now
+        for _, forms in cells:
+            forms[key] = form
+    root = id(formula)
+    return PwlFunction(ctx, [LinearCell(cell, forms[root]) for cell, forms in cells])
 
 
 def evaluate(func: PwlFunction, point) -> Rat:
@@ -250,18 +247,18 @@ def evaluate(func: PwlFunction, point) -> Rat:
     raise AssertionError(f"complex does not cover point {p}")  # pragma: no cover
 
 
+def oneset_piece(cell: LinearCell) -> Polytope | None:
+    """The polytope {x in cell : form(x) = 1}, or None when it is empty."""
+    form = cell.form
+    piece = cell.polytope.cut(form.coeffs, 1 - form.const)
+    if piece is None:
+        return None
+    return piece.cut(tuple(-c for c in form.coeffs), form.const - 1)
+
+
 def oneset(func: PwlFunction) -> list[Polytope]:
     """The polytopes {x in cell : form = 1}; pieces inside others dropped."""
-    pieces: list[Polytope] = []
-    for cell in func.cells:
-        form = cell.form
-        piece = cell.polytope.cut(form.coeffs, 1 - form.const)
-        if piece is None:
-            continue
-        piece = piece.cut(tuple(-c for c in form.coeffs), form.const - 1)
-        if piece is None:
-            continue
-        pieces.append(piece)
+    pieces = [piece for piece in map(oneset_piece, func.cells) if piece is not None]
     pieces = list(dict.fromkeys(pieces))
     kept: list[Polytope] = []
     for i, piece in enumerate(pieces):
@@ -314,17 +311,13 @@ def common_refinement(
                 nxt.append((piece, {**forms, idx: cell.form}))
         work = nxt
 
-    if extra_cuts:
-        for normal, offset in extra_cuts:
-            nxt = []
-            for region, forms in work:
-                for side in (
-                    region.cut(normal, offset),
-                    region.cut(tuple(-c for c in normal), -offset),
-                ):
-                    if side is not None and (n == 0 or side.affine_dim() == n):
-                        nxt.append((side, forms))
-            work = nxt
+    for normal, offset in extra_cuts or ():
+        work = [
+            (part, forms)
+            for region, forms in work
+            for part in _sides(region, normal, offset)
+            if part is not None
+        ]
 
     cells = [region for region, _ in work]
     forms = [[f[i] for i in range(len(funcs))] for _, f in work]
@@ -342,11 +335,7 @@ def refinement_vertices(cells: list[Polytope]) -> list[tuple]:
 
 def is_tautology(func: PwlFunction) -> bool:
     """True when the function is constantly 1 (checked at all cell vertices)."""
-    if func.arity == 0:
-        return func.cells[0].form.const == 1
-    return all(
-        cell.form.value(v) == 1 for cell in func.cells for v in cell.polytope.vertices
-    )
+    return function_range(func)[0] == 1
 
 
 def function_range(func: PwlFunction) -> tuple[Rat, Rat]:

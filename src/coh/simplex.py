@@ -196,10 +196,6 @@ def feasible_point(A: Sequence[Sequence], b: Sequence) -> LPResult:
     return solve_standard([ZERO] * n, A, b)
 
 
-def minimize(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
-    return solve_standard(c, A, b)
-
-
 def maximize(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
     res = solve_standard([-Rat(v) for v in c], A, b)
     if res.status == OPTIMAL:

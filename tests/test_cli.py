@@ -1,6 +1,7 @@
 """CLI surface: subcommands, JSON schemas, determinism, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -148,6 +149,31 @@ class TestErrorsAndCaps:
         assert code == 3 and out == ""
         assert err.startswith("error: formula nesting exceeds the cap of")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["set", "--events", "x+" * 3000 + "x"],
+            ["check", "--events", "x" + "^2" * 3000, "--book", "1/2"],
+            ["fp", "prove", "P(x)+" * 3000 + "P(x)"],
+            ["fp", "prove", "P(" + "x+" * 3000 + "x)"],
+            ["fp", "entail", "--premise", "P(x)+" * 3000 + "P(x)", "--conclusion", "P(x)"],
+            ["ldt", "--premise", "P(x)", "--conclusion", "P(x)+" * 3000 + "P(x)"],
+            ["batch", "BATCH"],
+        ],
+        ids=["set-sum", "check-power", "prove-modal-sum", "prove-event-sum", "entail", "ldt", "batch"],
+    )
+    def test_deep_chain_exits_3(self, argv, tmp_path):
+        # Left-associative chains and postfix powers are built by loops the
+        # nesting cap does not count; every walk over the result is
+        # iterative, so the depth cap reports them.
+        if argv[-1] == "BATCH":
+            path = tmp_path / "deep.json"
+            path.write_text(json.dumps({"queries": [{"events": ["x+" * 3000 + "x"]}]}))
+            argv = ["batch", str(path)]
+        code, out, err = run_cli(*argv, "--json")
+        assert code == 3 and out == ""
+        assert re.fullmatch(r"error: formula depth 300[01] exceeds the cap of 12\n", err)
 
 
 RATIONAL = {"type": "string", "pattern": r"^-?\d+(/\d+)?$"}

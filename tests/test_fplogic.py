@@ -501,8 +501,9 @@ class TestGenerality:
 
 
 class TestNoReferenceCycles:
-    # The recursive walks keep their memos in closures; a closure that
-    # refers to itself would leave each call's memo to the cyclic collector.
+    # The formula walks keep their memos in dicts read by closures; a
+    # closure that referred to itself would leave each call's memo to the
+    # cyclic collector.
     @pytest.mark.parametrize(
         "call",
         [

@@ -7,8 +7,24 @@ import pytest
 
 from coh.coherence import Book, CoherenceVerdict
 from coh.exact import ONE, Rat, ZERO, dot
-from coh.formula import VarContext, parse_event
-from coh.fplogic import ConsequenceResult
+from coh.formula import (
+    BOT,
+    TOP,
+    And,
+    Iff,
+    Imp,
+    Multiple,
+    Neg,
+    OPlus,
+    Or,
+    OTimes,
+    Power,
+    Var,
+    VarContext,
+    parse_event,
+    postorder,
+)
+from coh.fplogic import ConsequenceResult, oneset_formula
 from coh.polytope import MembershipCertificate, Polytope, convex_hull
 from coh.pwl import (
     AffineForm,
@@ -23,7 +39,7 @@ from coh.pwl import (
 )
 from coh.simplex import LPResult
 
-from util import eval_at, farey, grid_points, random_event
+from util import eval_at, farey, grid_points, random_event, reference_mcnaughton
 
 
 def rp(*vals):
@@ -96,6 +112,73 @@ class TestOracleEquivalence:
                 ]
             for p in points:
                 assert evaluate(func, p) == eval_at(text, p), (text, p)
+
+
+def shared_formula(rng, names, size):
+    """A formula built bottom-up as a chain over a pool of nodes: each new
+    node takes the last one as an operand, and a binary node takes any
+    earlier node as the other, so subterm objects recur."""
+    pool = [Var(name) for name in names]
+    if rng.random() < 0.2:
+        pool.append(rng.choice([BOT, TOP]))
+    for _ in range(size):
+        kind = rng.choice([OPlus, OTimes, Imp, Or, And, Iff, Neg, Power, Multiple])
+        a = pool[-1]
+        if kind is Neg:
+            node = Neg(a)
+        elif kind is Power:
+            node = Power(a, rng.randint(2, 3))
+        elif kind is Multiple:
+            node = Multiple(rng.randint(2, 3), a)
+        elif rng.random() < 0.5:
+            node = kind(a, rng.choice(pool))
+        else:
+            node = kind(rng.choice(pool), a)
+        pool.append(node)
+    return pool[-1]
+
+
+def has_shared_node(formula):
+    """Some node object is the operand of two parents, or twice of one."""
+    seen = set()
+    for node in postorder(formula):
+        for name in ("arg", "left", "right"):
+            arg = getattr(node, name, None)
+            if arg is not None:
+                if id(arg) in seen:
+                    return True
+                seen.add(id(arg))
+    return False
+
+
+class TestReferenceBuilder:
+    """The one-pass builder returns the overlay builder's cells, in order."""
+
+    def test_cells_equal_reference_overlay(self):
+        rng = random.Random(2024)
+        cases = []
+        for _ in range(150):
+            names = "xyz"[: rng.choice([1, 1, 2, 2, 2, 3])]
+            cases.append((parse_event(random_event(rng, list(names), rng.randint(2, 5))), names))
+        for _ in range(150):
+            names = "xy"[: rng.randint(1, 2)]
+            cases.append((shared_formula(rng, names, rng.randint(3, 8)), names))
+        for dim, count in ((1, 6), (2, 6)):
+            for _ in range(count):
+                points = [tuple(Rat(rng.randint(0, 3), 3) for _ in range(dim)) for _ in range(3)]
+                names = "xy"[:dim]
+                ctx = VarContext(list(names))
+                cases.append((oneset_formula(Polytope.from_vertices(points), ctx), names))
+        kinds = {Power: 0, Multiple: 0, "shared": 0}
+        for formula, names in cases:
+            ctx = VarContext(list(names))
+            assert mcnaughton(formula, ctx).cells == reference_mcnaughton(formula, ctx).cells
+            classes = {type(node) for node in postorder(formula)}
+            kinds[Power] += Power in classes
+            kinds[Multiple] += Multiple in classes
+            kinds["shared"] += has_shared_node(formula)
+        assert len(cases) >= 300
+        assert min(kinds.values()) >= 50, kinds
 
 
 class TestComplexInvariants:

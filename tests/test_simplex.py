@@ -10,7 +10,6 @@ from coh.simplex import (
     bound_linear,
     feasible_point,
     maximize,
-    minimize,
     solve_standard,
 )
 
@@ -20,7 +19,7 @@ from util import reference_solve_standard
 class TestBasics:
     def test_simple_min(self):
         # min x1 + x2  s.t. x1 + 2 x2 = 4, x >= 0  ->  x = (0, 2)
-        res = minimize([1, 1], [[1, 2]], [4])
+        res = solve_standard([1, 1], [[1, 2]], [4])
         assert res.status == OPTIMAL
         assert res.value == 2
         assert res.x == (ZERO, Rat(2))
@@ -33,23 +32,23 @@ class TestBasics:
 
     def test_negative_rhs_handled(self):
         # -x1 = -2 forces x1 = 2.
-        res = minimize([1], [[-1]], [-2])
+        res = solve_standard([1], [[-1]], [-2])
         assert res.status == OPTIMAL
         assert res.x == (Rat(2),)
 
     def test_unbounded(self):
         # min -x1 with x1 - x2 = 0: both can grow without bound.
-        res = minimize([-1, 0], [[1, -1]], [0])
+        res = solve_standard([-1, 0], [[1, -1]], [0])
         assert res.status == UNBOUNDED
 
     def test_degenerate_exact(self):
         # Multiple bases with the same value; Bland's rule must terminate.
-        res = minimize([1, 1, 1], [[1, 1, 0], [1, 0, 1]], [1, 1])
+        res = solve_standard([1, 1, 1], [[1, 1, 0], [1, 0, 1]], [1, 1])
         assert res.status == OPTIMAL
         assert res.value == 1
 
     def test_exact_fractions(self):
-        res = minimize([Rat(1, 3), Rat(1, 7)], [[1, 1]], [Rat(22, 7)])
+        res = solve_standard([Rat(1, 3), Rat(1, 7)], [[1, 1]], [Rat(22, 7)])
         assert res.status == OPTIMAL
         assert res.value == Rat(22, 49)
 

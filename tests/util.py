@@ -1,8 +1,10 @@
 """Shared test helpers: independent oracles and random generators.
 
 The oracles here deliberately avoid the library's polyhedral code paths:
-formula values come from direct recursion on the AST over exact rationals,
+formula values come from direct evaluation of the AST over exact rationals,
 and hull membership checks go through their own certificate verification.
+The reference builders at the end re-implement replaced kernels the plain
+way, to be compared with the library's output exactly.
 """
 
 from __future__ import annotations
@@ -10,14 +12,17 @@ from __future__ import annotations
 import itertools
 import random
 
+from coh import formula as fm
 from coh.exact import Rat, dot
 from coh.formula import evaluate_formula, parse_event
+from coh.polytope import Polytope
+from coh.pwl import AffineForm, LinearCell, PwlFunction
 
 EVENT_OPS = ["+", "*", "|", "&", "->", "<->"]
 
 
 def eval_at(text_or_formula, point, names=("x", "y", "z")):
-    """Pointwise oracle: direct recursive evaluation, no complexes involved."""
+    """Pointwise oracle: direct evaluation of the AST, no complexes involved."""
     f = parse_event(text_or_formula) if isinstance(text_or_formula, str) else text_or_formula
     env = {n: Rat(v) for n, v in zip(names, point)}
     return evaluate_formula(f, env)
@@ -218,3 +223,90 @@ def cube_vertices_bruteforce(dim, halfspaces):
         if point is not None and all(dot(a, point) <= b for a, b in constraints):
             found.add(point)
     return sorted(found)
+
+
+# ---------------------------------------------------------------------------
+# Reference McNaughton builder: the per-connective overlay that the library's
+# one-pass builder replaced.  Each connective intersects every cell of its
+# left operand's complex with every cell of its right operand's complex and
+# splits the full-dimensional overlaps along its switch hyperplane, so its
+# cells, in their order, must equal the library's exactly.  It cuts with the
+# library's Polytope: what it checks is how the complex is assembled.
+
+
+def _ref_split(cell, switch, low, high):
+    vals = [switch.value(v) for v in cell.vertices]
+    if all(v <= 0 for v in vals):
+        return [LinearCell(cell, low)]
+    if all(v >= 0 for v in vals):
+        return [LinearCell(cell, high)]
+    out = []
+    low_cell = cell.cut(switch.coeffs, -switch.const)
+    if low_cell is not None:
+        out.append(LinearCell(low_cell, low))
+    high_cell = cell.cut(tuple(-c for c in switch.coeffs), switch.const)
+    if high_cell is not None:
+        out.append(LinearCell(high_cell, high))
+    return out
+
+
+def _ref_combine(a_cells, b_cells, op, dim):
+    one = AffineForm.constant(1, dim)
+    zero = AffineForm.constant(0, dim)
+    out = []
+    for ca in a_cells:
+        for cb in b_cells:
+            region = ca.polytope.intersect(cb.polytope)
+            if region is None or region.affine_dim() < dim:
+                continue
+            fa, fb = ca.form, cb.form
+            if op == "oplus":  # min(1, a+b)
+                out.extend(_ref_split(region, (fa + fb) - one, fa + fb, one))
+            elif op == "otimes":  # max(0, a+b-1)
+                out.extend(_ref_split(region, (fa + fb) - one, zero, (fa + fb) - one))
+            elif op == "and":  # min(a, b)
+                out.extend(_ref_split(region, fa - fb, fa, fb))
+            elif op == "or":  # max(a, b)
+                out.extend(_ref_split(region, fa - fb, fb, fa))
+            elif op == "imp":  # min(1, 1-a+b)
+                out.extend(_ref_split(region, fb - fa, fa.complement() + fb, one))
+            else:  # iff: 1 - |a-b|
+                out.extend(_ref_split(region, fa - fb, fb.complement() + fa, fa.complement() + fb))
+    return out
+
+
+def reference_mcnaughton(formula, ctx):
+    """The McNaughton complex of an event formula, built by recursive overlay."""
+    ops = {fm.OPlus: "oplus", fm.OTimes: "otimes", fm.And: "and", fm.Or: "or", fm.Imp: "imp", fm.Iff: "iff"}
+    n = ctx.arity
+    cube = Polytope.cube(n)
+    memo = {}
+
+    def rec(node):
+        key = id(node)
+        if key in memo:
+            return memo[key]
+        if isinstance(node, fm.Var):
+            cells = [LinearCell(cube, AffineForm.coordinate(ctx.position(node.name), n))]
+        elif isinstance(node, fm.Bot):
+            cells = [LinearCell(cube, AffineForm.constant(0, n))]
+        elif isinstance(node, fm.Top):
+            cells = [LinearCell(cube, AffineForm.constant(1, n))]
+        elif isinstance(node, fm.Neg):
+            cells = [LinearCell(c.polytope, c.form.complement()) for c in rec(node.arg)]
+        elif isinstance(node, fm.Multiple):
+            cells = []
+            for c in rec(node.arg):
+                scaled = c.form.scaled(node.n)
+                cells.extend(_ref_split(c.polytope, scaled.shifted(-1), scaled, AffineForm.constant(1, n)))
+        elif isinstance(node, fm.Power):
+            cells = []
+            for c in rec(node.arg):
+                shifted = c.form.scaled(node.n).shifted(-(node.n - 1))
+                cells.extend(_ref_split(c.polytope, shifted, AffineForm.constant(0, n), shifted))
+        else:
+            cells = _ref_combine(rec(node.left), rec(node.right), ops[type(node)], n)
+        memo[key] = cells
+        return cells
+
+    return PwlFunction(ctx, rec(formula))
