@@ -121,12 +121,6 @@ def _enforce_modal_caps(*formulas) -> None:
         _enforce_caps(EventList(list(atoms.values())), formulas)
 
 
-def run_prove(formula) -> dict:
-    psi = parse_modal(formula)
-    _enforce_modal_caps(psi)
-    return decide_consequence("1", psi).to_json_dict()
-
-
 def run_entail(premise, conclusion) -> dict:
     phi, psi = parse_modal(premise), parse_modal(conclusion)
     _enforce_modal_caps(phi, psi)
@@ -136,13 +130,8 @@ def run_entail(premise, conclusion) -> dict:
 def run_chi(events) -> dict:
     ev = _parse_events(events)
     _enforce_caps(ev)
-    cs = coherent_set(ev)
-    chi = oneset_formula(cs.polytope)
-    return {
-        "events": ev.labels(),
-        "formula": canonical_serialize(chi),
-        "verified": True,
-    }
+    chi = oneset_formula(coherent_set(ev).polytope)
+    return {"events": ev.labels(), "formula": canonical_serialize(chi), "verified": True}
 
 
 def run_ldt(premise, conclusion) -> dict:
@@ -154,87 +143,110 @@ def run_ldt(premise, conclusion) -> dict:
     return {"holds": True, "exponent": exponent}
 
 
-def _parse_substitution(mapping: dict) -> ProbSubstitution:
-    return ProbSubstitution(dict(mapping))
-
-
 def run_unify_verify(identities, substitution) -> dict:
     problem = UnificationProblem([tuple(pair) for pair in identities])
     _enforce_caps(problem.atoms)
-    sub = _parse_substitution(substitution)
-    return {"holds": verify_unifier(problem, sub)}
+    return {"holds": verify_unifier(problem, ProbSubstitution(substitution))}
 
 
 def run_unify_generality(identities, sigma, tau, delta) -> dict:
     problem = UnificationProblem([tuple(pair) for pair in identities])
     _enforce_caps(problem.atoms)
-    return {
-        "holds": verify_generality(
-            _parse_substitution(sigma), _parse_substitution(tau), _parse_substitution(delta), problem
-        )
-    }
+    sigma, tau, delta = (ProbSubstitution(m) for m in (sigma, tau, delta))
+    return {"holds": verify_generality(sigma, tau, delta, problem)}
+
+
+def _texts(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+# What a query field must hold: a description and a test.
+_TEXT = ("a string", lambda v: isinstance(v, str))
+_TEXTS = ("a list of strings", _texts)
+_BOOK = (
+    'a list of exact rationals written as strings ("p/q"), or an object of them keyed by the events',
+    lambda v: _texts(v) or (isinstance(v, dict) and _texts(list(v.values()))),
+)
+_PAIRS = (
+    "a list of [left, right] pairs of strings",
+    lambda v: isinstance(v, list)
+    and all(isinstance(p, (list, tuple)) and len(p) == 2 and _texts(list(p)) for p in v),
+)
+_MAP = ("an object whose values are strings", lambda v: isinstance(v, dict) and _texts(list(v.values())))
+
+# Each operation's runner, and the fields passed to it, in order.
+_OPERATIONS = {
+    "check": (run_check, {"events": _TEXTS, "book": _BOOK}),
+    "set": (run_set, {"events": _TEXTS}),
+    "extend": (run_extend, {"events": _TEXTS, "book": _BOOK, "new": _TEXT}),
+    "prove": (lambda conclusion: run_entail("1", conclusion), {"conclusion": _TEXT}),
+    "entail": (run_entail, {"premise": _TEXT, "conclusion": _TEXT}),
+    "chi": (run_chi, {"events": _TEXTS}),
+    "ldt": (run_ldt, {"premise": _TEXT, "conclusion": _TEXT}),
+    "unify-verify": (run_unify_verify, {"identities": _PAIRS, "substitution": _MAP}),
+    "unify-generality": (
+        run_unify_generality, {"identities": _PAIRS, "sigma": _MAP, "tau": _MAP, "delta": _MAP}
+    ),
+}
+# Without an "op" key, the first operation whose keys a query has.
+_INFERRED = [
+    ({"identities", "sigma", "tau", "delta"}, "unify-generality"),
+    ({"identities"}, "unify-verify"),
+    ({"premise", "conclusion"}, "entail"),
+    ({"conclusion"}, "prove"),
+    ({"new"}, "extend"),
+    ({"book"}, "check"),
+    ({"events"}, "set"),
+]
+
+
+def _parse_query(query) -> tuple:
+    """(runner, arguments) of a query document; a ValueError names the
+    first field that is missing or malformed.  A book given as an object
+    is turned into the list of its events' prices."""
+    if not isinstance(query, dict):
+        raise ValueError(f"a query must be a JSON object, not {type(query).__name__}")
+    op = query.get("op")
+    if op is None:
+        op = next((op for keys, op in _INFERRED if keys <= query.keys()), None)
+        if op is None:
+            raise ValueError(f"cannot infer operation from keys {sorted(query)}")
+    if not isinstance(op, str) or op not in _OPERATIONS:
+        raise ValueError(f"unknown op {op!r}")
+    runner, fields = _OPERATIONS[op]
+    args = []
+    for name, (what, ok) in fields.items():
+        if name not in query:
+            raise ValueError(f"query field {name!r} is missing")
+        value = query[name]
+        if not ok(value):
+            raise ValueError(f"query field {name!r} must be {what}")
+        if name == "book" and isinstance(value, dict):
+            missing = [e for e in query["events"] if e not in value]
+            if missing:
+                raise ValueError(f"query field 'book' has no price for event {missing[0]!r}")
+            value = [value[e] for e in query["events"]]
+        args.append(value)
+    return runner, args
 
 
 def run_query(query: dict) -> dict:
-    """Dispatch one batch-file query.
-
-    The "op" key wins when present; otherwise the operation is inferred from
-    the fields: identities+sigma/tau/delta -> unify generality,
-    identities+substitution -> unify verify, premise+conclusion -> entail,
-    conclusion alone -> prove, events+book+new -> extend, events+book ->
-    check, events alone -> set.
-    """
-    op = query.get("op")
-    if op is None:
-        if "identities" in query and {"sigma", "tau", "delta"} <= query.keys():
-            op = "unify-generality"
-        elif "identities" in query:
-            op = "unify-verify"
-        elif "premise" in query and "conclusion" in query:
-            op = "entail"
-        elif "conclusion" in query:
-            op = "prove"
-        elif "new" in query:
-            op = "extend"
-        elif "book" in query:
-            op = "check"
-        elif "events" in query:
-            op = "set"
-        else:
-            raise ValueError(f"cannot infer operation from keys {sorted(query)}")
-    if op == "check":
-        book = query["book"]
-        if isinstance(book, dict):
-            book = [book[e] for e in query["events"]]
-        return run_check(query["events"], book)
-    if op == "set":
-        return run_set(query["events"])
-    if op == "extend":
-        book = query["book"]
-        if isinstance(book, dict):
-            book = [book[e] for e in query["events"]]
-        return run_extend(query["events"], book, query["new"])
-    if op == "prove":
-        return run_prove(query["conclusion"])
-    if op == "entail":
-        return run_entail(query["premise"], query["conclusion"])
-    if op == "chi":
-        return run_chi(query["events"])
-    if op == "ldt":
-        return run_ldt(query["premise"], query["conclusion"])
-    if op == "unify-verify":
-        return run_unify_verify(query["identities"], query["substitution"])
-    if op == "unify-generality":
-        return run_unify_generality(
-            query["identities"], query["sigma"], query["tau"], query["delta"]
-        )
-    raise ValueError(f"unknown op {op!r}")
+    """Check and run one query document: see `_OPERATIONS` and `_INFERRED`."""
+    runner, args = _parse_query(query)
+    return runner(*args)
 
 
 def run_batch(path: str) -> list:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    queries = doc["queries"] if isinstance(doc, dict) else doc
+    queries = doc.get("queries") if isinstance(doc, dict) else doc
+    if not isinstance(queries, list):
+        raise ValueError("a batch file must hold a list of queries, or an object with a 'queries' list")
+    for i, query in enumerate(queries):
+        try:
+            _parse_query(query)
+        except ValueError as err:
+            raise ValueError(f"batch query {i}: {err}") from None
     return [run_query(q) for q in queries]
 
 
@@ -282,62 +294,56 @@ def _emit(result, as_json: bool) -> None:
         print(json.dumps(result))
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="coh", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="cmd", required=True)
+_EVENTS = ("--events", {"nargs": "+", "required": True})
+_PAIR = [("--premise", {"required": True}), ("--conclusion", {"required": True})]
 
-    def add_json(p):
+# The subcommands in help order: their help line, and their options as
+# (name, add_argument keywords), or a table of their own subcommands.
+_COMMANDS = {
+    "check": ("decide coherence of a book", [
+        _EVENTS, ("--book", {"nargs": "+", "required": True, "help": 'prices, e.g. "1/2" 1'})]),
+    "set": ("compute the coherent set of an event list", [_EVENTS]),
+    "extend": ("coherent extension interval for a new event", [
+        _EVENTS, ("--book", {"nargs": "+", "required": True}), ("--new", {"required": True})]),
+    "chi": ("synthesize a formula whose oneset is the coherent set", [_EVENTS]),
+    "ldt": ("least n with premise^n -> conclusion provable", _PAIR),
+    "fp": ("probability-logic queries", {
+        "prove": ("theoremhood of a modal formula", [("formula", {})]),
+        "entail": ("consequence between modal formulas", _PAIR),
+    }),
+    "unify": ("probabilistic unification checks", {
+        "verify": ("verify a substitution unifies identities", [
+            ("--file", {"help": "query file with identities and substitution"}),
+            ("--identity", {"action": "append", "default": [], "metavar": "LHS=RHS"}),
+            ("--map", {"action": "append", "default": [], "metavar": "EVENT=MODAL",
+                       "help": "image of the atom P(EVENT)"})]),
+        "generality": ("verify sigma = delta∘tau on a problem", [
+            ("--file", {"required": True, "help": "query file with identities, sigma, tau, delta"})]),
+    }),
+    "batch": ("run a JSON file of queries", [("file", {})]),
+}
+
+
+def _add_subcommands(sub, table: dict, names) -> None:
+    for name in names:
+        help_text, options = table[name]
+        p = sub.add_parser(name, help=help_text)
+        if isinstance(options, dict):  # fp and unify: dest fpcmd, unifycmd
+            _add_subcommands(p.add_subparsers(dest=name + "cmd", required=True), options, options)
+            continue
+        for option, keywords in options:
+            p.add_argument(option, **keywords)
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
-    p = sub.add_parser("check", help="decide coherence of a book")
-    p.add_argument("--events", nargs="+", required=True)
-    p.add_argument("--book", nargs="+", required=True, help='prices, e.g. "1/2" 1')
-    add_json(p)
 
-    p = sub.add_parser("set", help="compute the coherent set of an event list")
-    p.add_argument("--events", nargs="+", required=True)
-    add_json(p)
-
-    p = sub.add_parser("extend", help="coherent extension interval for a new event")
-    p.add_argument("--events", nargs="+", required=True)
-    p.add_argument("--book", nargs="+", required=True)
-    p.add_argument("--new", required=True)
-    add_json(p)
-
-    p = sub.add_parser("chi", help="synthesize a formula whose oneset is the coherent set")
-    p.add_argument("--events", nargs="+", required=True)
-    add_json(p)
-
-    p = sub.add_parser("ldt", help="least n with premise^n -> conclusion provable")
-    p.add_argument("--premise", required=True)
-    p.add_argument("--conclusion", required=True)
-    add_json(p)
-
-    fp = sub.add_parser("fp", help="probability-logic queries")
-    fpsub = fp.add_subparsers(dest="fpcmd", required=True)
-    p = fpsub.add_parser("prove", help="theoremhood of a modal formula")
-    p.add_argument("formula")
-    add_json(p)
-    p = fpsub.add_parser("entail", help="consequence between modal formulas")
-    p.add_argument("--premise", required=True)
-    p.add_argument("--conclusion", required=True)
-    add_json(p)
-
-    un = sub.add_parser("unify", help="probabilistic unification checks")
-    unsub = un.add_subparsers(dest="unifycmd", required=True)
-    p = unsub.add_parser("verify", help="verify a substitution unifies identities")
-    p.add_argument("--file", help="query file with identities and substitution")
-    p.add_argument("--identity", action="append", default=[], metavar="LHS=RHS")
-    p.add_argument("--map", action="append", default=[], metavar="EVENT=MODAL",
-                   help="image of the atom P(EVENT)")
-    add_json(p)
-    p = unsub.add_parser("generality", help="verify sigma = delta∘tau on a problem")
-    p.add_argument("--file", required=True, help="query file with identities, sigma, tau, delta")
-    add_json(p)
-
-    p = sub.add_parser("batch", help="run a JSON file of queries")
-    p.add_argument("file")
-    add_json(p)
+def _build_parser(argv=None) -> argparse.ArgumentParser:
+    """The argument parser.  When `argv` starts with a subcommand only that
+    subcommand's parser is built; the usage line still lists them all."""
+    parser = argparse.ArgumentParser(prog="coh", description=__doc__.splitlines()[0])
+    chosen = argv[:1] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(chosen) == 1 else None
+    sub = parser.add_subparsers(dest="cmd", required=True, metavar=metavar)
+    _add_subcommands(sub, _COMMANDS, chosen)
     return parser
 
 
@@ -366,7 +372,10 @@ def _query_of(args) -> dict:
         op = "unify-" + args.unifycmd
         if args.file:
             with open(args.file, "r", encoding="utf-8") as fh:
-                query.update(json.load(fh))
+                doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise ValueError(f"--file must hold a JSON object, not {type(doc).__name__}")
+            query.update(doc)
         else:
             query["identities"] = _split_pairs(args.identity, "--identity")
             query["substitution"] = dict(_split_pairs(args.map, "--map"))
@@ -377,7 +386,8 @@ def _query_of(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         if args.cmd == "batch":
             result = run_batch(args.file)

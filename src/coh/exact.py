@@ -47,14 +47,6 @@ def rat_str(value) -> str:
     return str(Rat(value))
 
 
-def as_int(value) -> int:
-    """Convert an integral rational to int; raises if it is not integral."""
-    q = Rat(value)
-    if q.denominator != 1:
-        raise ValueError(f"not an integer: {q}")
-    return int(q.numerator)
-
-
 def dot(u: Sequence, v: Sequence):
     """Exact inner product; accepts mixed int/rational sequences."""
     total = ZERO

@@ -3,13 +3,16 @@
 A modal formula is an outer Łukasiewicz combination of atoms P(event).
 Replacing every syntactically distinct atom by a fresh propositional
 variable turns the outer layer into an ordinary event formula over the book
-space [0,1]^k, and a coherence constraint (the coherent set of the events)
+space [0,1]^k, and a coherence constraint (the coherent set C of the events)
 captures which book-space points are admissible.  Entailment Φ ⊢ Ψ then
 reduces to: on every coherent book where the translation of Φ takes value 1,
-the translation of Ψ takes value 1 as well.  That condition is decided
-exactly by minimizing the affine pieces of Ψ's function over the coherent
-region of each piece of Φ's oneset; a minimizer below 1 is a countermodel
-book, re-verified before being returned.
+the translation of Ψ takes value 1 as well.  Both translations are affine
+on every cell of one complex over C (`pwl.refine`), so reading them at the
+cell vertices decides that condition exactly, with no linear program: a
+vertex with φ = 1 > ψ is a countermodel book, chosen canonically and
+re-verified before being returned.  The least deduction exponent is read
+off the same vertices in closed form ("Vertex-only verdicts" in
+docs/design-notes.md).
 
 The same machinery decides probabilistic substitutions (maps of atoms whose
 images stay inside the original coherent set), unifiers of identity sets,
@@ -22,9 +25,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from . import simplex
 from .coherence import Book, EventList, coherent_set
-from .exact import ONE, Rat, ZERO, dot, rat_str
+from .exact import Rat, common_denominator, rat_str
 from .formula import (
     And,
     BOT,
@@ -50,8 +52,8 @@ from .formula import (
     rebuild,
     substitute_atoms,
 )
-from .polytope import Polytope, membership
-from .pwl import common_refinement, mcnaughton, oneset, oneset_piece
+from .polytope import Polytope
+from .pwl import mcnaughton, oneset, refine, vertex_values
 from .record import Record
 
 
@@ -111,85 +113,61 @@ class ConsequenceResult(Record):
         return out
 
 
-def _min_affine_over(
-    verts: Sequence[tuple], halfspaces: Sequence, objective: Sequence
-) -> tuple[bool, Rat | None, tuple | None]:
-    """Exact min of an affine objective over conv(verts) ∩ halfspaces.
+def _pair_vertices(premise: Formula | str, conclusion: Formula | str):
+    """(φ, ψ, context, C, table): the translations of both formulas over one
+    context, the coherent set C of their atoms, and `vertex_values` of one
+    complex over C on which both are affine.  Without atoms C is None and
+    the table holds the two values, evaluated directly, as one vertex."""
+    phi = parse_modal(premise) if isinstance(premise, str) else premise
+    psi = parse_modal(conclusion) if isinstance(conclusion, str) else conclusion
+    tctx = TranslationContext()
+    phi_t, psi_t = translate(phi, tctx), translate(psi, tctx)
+    if not tctx.events:
+        values, d = common_denominator([evaluate_formula(phi_t, {}), evaluate_formula(psi_t, {})])
+        return phi_t, psi_t, tctx, None, {((), d): tuple(values)}
+    region = coherent_set(EventList(tctx.events)).polytope
+    cells, forms = refine([phi_t, psi_t], tctx.book_context(), region=region)
+    return phi_t, psi_t, tctx, region, vertex_values(cells, forms)
 
-    The region is parametrized by convex weights; `objective` holds the
-    objective's value at each vertex.  Returns (feasible, min, argmin point).
-    """
-    m = len(verts)
-    rows = []
-    rhs = []
-    for a, b in halfspaces:
-        rows.append([dot(a, v) for v in verts])
-        rhs.append(Rat(b))
-    n_slack = len(rows)
-    A = []
-    for i, row in enumerate(rows):
-        A.append(list(row) + [ONE if j == i else ZERO for j in range(n_slack)])
-    A.append([ONE] * m + [ZERO] * n_slack)
-    rhs.append(ONE)
-    c = list(objective) + [ZERO] * n_slack
-    res = simplex.solve_standard(c, A, rhs)
-    if res.status == simplex.INFEASIBLE:
-        return False, None, None
-    assert res.status == simplex.OPTIMAL
-    weights = res.x[:m]
-    dim = len(verts[0])
-    point = tuple(
-        sum((w * v[i] for w, v in zip(weights, verts)), start=ZERO) for i in range(dim)
-    )
-    return True, res.value, point
+
+def _verified_book(tctx: TranslationContext, region, P, d, holds) -> tuple:
+    """The book P/d, once integer halfspace tests put it in the coherent set
+    `region` and `holds` accepts the formulas' valuation there."""
+    point = tuple(Rat(p, d) for p in P)
+    if (region is not None and not region.contains_homogeneous(P, d)) or not holds(
+        tctx.book_context().env(point)
+    ):
+        raise AssertionError("certificate book failed re-verification")
+    return point
 
 
 def decide_consequence(premise: Formula | str, conclusion: Formula | str) -> ConsequenceResult:
     """Decide Φ ⊢ Ψ; on failure the result carries a countermodel book.
 
-    The countermodel is a coherent book on the union of the atoms of both
-    formulas that satisfies the premise and refutes the conclusion; it is
-    re-verified by independent pointwise evaluation before being returned.
+    The consequence fails iff some vertex of the complex over the coherent
+    set has φ = 1 > ψ.  The countermodel is such a vertex with the least ψ,
+    and among those the lexicographically least book, its prices read in the
+    order of the atoms' canonical texts: a point fixed by the two functions
+    and the coherent set, whatever the cells.  It is re-verified by
+    evaluating both formulas there and by integer halfspace tests against
+    the coherent set.
     """
-    phi = parse_modal(premise) if isinstance(premise, str) else premise
-    psi = parse_modal(conclusion) if isinstance(conclusion, str) else conclusion
-
-    tctx = TranslationContext()
-    phi_t = translate(phi, tctx)
-    psi_t = translate(psi, tctx)
-
-    if not tctx.events:
-        # Ground formulas: evaluate directly.
-        holds = evaluate_formula(phi_t, {}) < 1 or evaluate_formula(psi_t, {}) == 1
-        return ConsequenceResult(holds, None if holds else Book(()), None)
-
-    events = EventList(tctx.events)
-    pctx = tctx.book_context()
-    cs = coherent_set(events)
-    verts = cs.polytope.vertices
-
-    f_phi = mcnaughton(phi_t, pctx)
-    f_psi = mcnaughton(psi_t, pctx)
-
-    for cell in f_phi.cells:
-        piece = oneset_piece(cell)
-        if piece is None:
-            continue
-        feasible, _, _ = _min_affine_over(verts, piece.halfspaces, [ZERO] * len(verts))
-        if not feasible:
-            continue
-        for psi_cell in f_psi.cells:
-            region_hs = piece.halfspaces + psi_cell.polytope.halfspaces
-            objective = [psi_cell.form.value(v) for v in verts]
-            feasible, value, point = _min_affine_over(verts, region_hs, objective)
-            if not feasible or value >= 1:
-                continue
-            env = pctx.env(point)
-            if evaluate_formula(phi_t, env) != 1 or evaluate_formula(psi_t, env) >= 1:
-                raise AssertionError("countermodel failed re-verification")
-            book = Book(point)
-            return ConsequenceResult(False, book, events)
-    return ConsequenceResult(True, None, events)
+    phi_t, psi_t, tctx, region, table = _pair_vertices(premise, conclusion)
+    events = EventList(tctx.events) if tctx.events else None
+    order = sorted(range(len(tctx.names)), key=list(tctx.names).__getitem__)
+    best = None
+    for (P, d), (phi_v, psi_v) in table.items():
+        if phi_v == d and psi_v < d:
+            key = (Rat(psi_v, d), tuple(Rat(P[i], d) for i in order))
+            if best is None or key < best[0]:
+                best = key, P, d
+    if best is None:
+        return ConsequenceResult(True, None, events)
+    _, P, d = best
+    point = _verified_book(
+        tctx, region, P, d, lambda env: evaluate_formula(phi_t, env) == 1 > evaluate_formula(psi_t, env)
+    )
+    return ConsequenceResult(False, Book(point), events)
 
 
 def prove(formula: Formula | str) -> ConsequenceResult:
@@ -197,24 +175,40 @@ def prove(formula: Formula | str) -> ConsequenceResult:
     return decide_consequence(TOP, formula)
 
 
+def _least_exponent(
+    premise: Formula | str, conclusion: Formula | str
+) -> tuple[int | None, tuple | None]:
+    """(n, book): the least n with ⊢ Φ^n -> Ψ and, for n >= 2, a coherent
+    book (atoms of Φ, then Ψ) where Φ^(n-1) -> Ψ is below 1; (None, None)
+    when Φ does not entail Ψ.
+
+    Φ^n -> Ψ is 1 exactly where 1-ψ <= n(1-φ), affine on every cell, so the
+    vertices decide it: None if some vertex has φ = 1 > ψ, and otherwise n
+    is the largest ⌈(1-ψ)/(1-φ)⌉ over the vertices with φ < 1, at least 1.
+    """
+    phi_t, psi_t, tctx, region, table = _pair_vertices(premise, conclusion)
+    n, witness = 1, None
+    for (P, d), (phi_v, psi_v) in table.items():
+        if phi_v == d:
+            if psi_v < d:
+                return None, None
+            continue
+        need = -((psi_v - d) // (d - phi_v))  # ⌈(1-ψ)/(1-φ)⌉
+        if need > n:
+            n, witness = need, (P, d)
+    if witness is None:
+        return n, None
+    weaker = Imp(phi_t if n == 2 else Power(phi_t, n - 1), psi_t)
+    return n, _verified_book(tctx, region, *witness, lambda env: evaluate_formula(weaker, env) < 1)
+
+
 def deduction_exponent(premise: Formula | str, conclusion: Formula | str) -> int | None:
     """Least n with ⊢ Φ^n -> Ψ, or None when Φ does not entail Ψ.
 
     Entailment guarantees such an n exists (the logic has a local deduction
-    theorem), so the search below terminates.
+    theorem); it is read in closed form off one complex (`_least_exponent`).
     """
-    phi = parse_modal(premise) if isinstance(premise, str) else premise
-    psi = parse_modal(conclusion) if isinstance(conclusion, str) else conclusion
-    if not decide_consequence(phi, psi).holds:
-        return None
-    n = 1
-    while True:
-        powered = phi if n == 1 else Power(phi, n)
-        if prove(Imp(powered, psi)).holds:
-            return n
-        n += 1
-        if n >= 10_000:  # pragma: no cover
-            raise RuntimeError("deduction exponent search runaway")
+    return _least_exponent(premise, conclusion)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -336,21 +330,14 @@ class OnesetSynthesisError(AssertionError):
 def verify_oneset(formula: Formula, poly: Polytope, ctx: VarContext) -> bool:
     """Exact check that {x in cube : f(x) = 1} equals the polytope.
 
-    Inclusion of the oneset in P is checked on piece vertices; the converse
-    (f = 1 on all of P) is one LP per cell of f's complex.
+    The oneset lies in P when the vertices of its pieces pass P's halfspace
+    tests; f is 1 on all of P when it is 1 at every vertex of its complex
+    over P.  Both tests are in integers.
     """
-    func = mcnaughton(formula, ctx)
-    for piece in oneset(func):
-        for v in piece.vertices:
-            if not poly.contains(v):
-                return False
-    verts = poly.vertices
-    for cell in func.cells:
-        objective = [cell.form.value(v) for v in verts]
-        feasible, value, _ = _min_affine_over(verts, cell.polytope.halfspaces, objective)
-        if feasible and value < 1:
-            return False
-    return True
+    if not all(poly.includes(piece) for piece in oneset(mcnaughton(formula, ctx))):
+        return False
+    cells, forms = refine([formula], ctx, region=poly)
+    return all(value == d for (_, d), (value,) in vertex_values(cells, forms).items())
 
 
 def oneset_formula(poly: Polytope, ctx: VarContext | None = None) -> Formula:
@@ -426,13 +413,6 @@ class ProbSubstitution:
                 seen.setdefault(canonical_serialize(event), event)
         return list(seen.values())
 
-    def compose_after(self, inner: "ProbSubstitution") -> "ProbSubstitution":
-        """The map P(e) -> self(inner(P(e))) on inner's domain."""
-        mapping: dict = {}
-        for event in inner.domain_events:
-            mapping[event] = self.apply(inner.image_of(event))
-        return ProbSubstitution(mapping)
-
 
 def is_probabilistic_substitution(
     substitution: ProbSubstitution, events: EventList | Sequence
@@ -441,41 +421,25 @@ def is_probabilistic_substitution(
 
     The map preserves provable equivalences iff the image of the coherent
     set of its target events, under the translated image terms, lies inside
-    the coherent set of the original events.  A violating image point is
-    returned as the witness.
+    the coherent set of the original events.  The image terms are affine
+    on every cell of one complex over the target's coherent set, so the
+    images of its vertices span the image; each is tested against the
+    source set's halfspaces in integers, and the lexicographically least
+    one outside is returned as the witness.
     """
     ev = events if isinstance(events, EventList) else EventList(events)
-    images = [substitution.image_of(e) for e in ev.events]
-    source_cs = coherent_set(ev)
-
+    source = coherent_set(ev).polytope
     tctx = TranslationContext()
-    terms = [translate(img, tctx) for img in images]
-
-    if not tctx.events:
-        point = tuple(evaluate_formula(t, {}) for t in terms)
-        cert = membership(point, source_cs.polytope)
-        return (True, None) if cert.inside else (False, point)
-
-    target = EventList(tctx.events)
-    target_cs = coherent_set(target)
-    pctx = tctx.book_context()
-    funcs = [mcnaughton(t, pctx) for t in terms]
-    cells, forms = common_refinement(funcs)
-
-    checked: set[tuple] = set()
-    for cell, cell_forms in zip(cells, forms):
-        region = cell.intersect(target_cs.polytope)
-        if region is None:
-            continue
-        for v in region.vertices:
-            image_point = tuple(f.value(v) for f in cell_forms)
-            if image_point in checked:
-                continue
-            checked.add(image_point)
-            cert = membership(image_point, source_cs.polytope)
-            if not cert.inside:
-                return False, image_point
-    return True, None
+    terms = [translate(substitution.image_of(e), tctx) for e in ev.events]
+    # Without atoms the terms are constants: one cell, the 0-dimensional cube.
+    region = coherent_set(EventList(tctx.events)).polytope if tctx.events else None
+    cells, forms = refine(terms, tctx.book_context(), region=region)
+    outside = [
+        tuple(Rat(v, d) for v in values)
+        for (_, d), values in vertex_values(cells, forms).items()
+        if not source.contains_homogeneous(values, d)
+    ]
+    return (False, min(outside)) if outside else (True, None)
 
 
 class UnificationProblem:
@@ -506,16 +470,10 @@ class UnificationProblem:
 
 def verify_unifier(problem: UnificationProblem, substitution: ProbSubstitution) -> bool:
     """True iff the substitution is probabilistic and proves every identity."""
-    for event in problem.atoms:
-        substitution.image_of(event)
-    ok, _witness = is_probabilistic_substitution(substitution, problem.atoms)
-    if not ok:
+    if not is_probabilistic_substitution(substitution, problem.atoms)[0]:
         return False
-    for lhs, rhs in problem.identities:
-        result = prove(Iff(substitution.apply(lhs), substitution.apply(rhs)))
-        if not result.holds:
-            return False
-    return True
+    apply = substitution.apply
+    return all(prove(Iff(apply(lhs), apply(rhs))).holds for lhs, rhs in problem.identities)
 
 
 def verify_generality(
@@ -534,9 +492,6 @@ def verify_generality(
         tau.image_of(event)
     for event in tau.image_atoms():
         delta.image_of(event)  # domain mismatch surfaces here
-    for event in problem.atoms:
-        lhs = sigma.image_of(event)
-        rhs = delta.apply(tau.image_of(event))
-        if not prove(Iff(lhs, rhs)).holds:
-            return False
-    return True
+    return all(
+        prove(Iff(sigma.image_of(e), delta.apply(tau.image_of(e)))).holds for e in problem.atoms
+    )

@@ -11,10 +11,12 @@ inequality pairs.
 Vertex enumeration is the incremental double-description step: cut a start
 box by one halfspace at a time, generating candidate points on crossing
 segments and keeping exactly those whose tight constraints have full rank.
-The cut computes with integers only: each vertex is also held, privately,
-as an integer numerator tuple over a positive common denominator, reduced
-by gcd, and the sign tests, crossing points and tight tests are integer
-cross-multiplications; Rat tuples are built only for the result's vertices.
+The cut computes with integers only: each vertex is also held as an
+integer numerator tuple over a positive common denominator, reduced by gcd
+(`homogeneous`), and the sign tests, crossing points and tight tests are
+integer cross-multiplications; Rat tuples are built only for the result's
+vertices.  Containment tests on such points (`contains_homogeneous`) are
+integer too.
 Facet enumeration reduces to vertex enumeration of the polar dual inside the
 affine hull.  Both directions are exact and certified by construction; the
 scale intended here is dimension <= 6.
@@ -22,6 +24,7 @@ scale intended here is dimension <= 6.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product as iter_product
 from math import gcd
 from operator import mul
@@ -86,9 +89,8 @@ class Polytope:
         self.dim = dim
         self._vertices = vertices
         self._halfspaces: tuple[HalfSpace, ...] | None = halfspaces
-        # The vertices as (integer numerators, positive denominator) pairs
-        # reduced by gcd, in vertex order; computed on the first cut and
-        # handed on by `cut` to the polytope it returns.
+        # `homogeneous()`, computed on first use and handed on by `cut` to
+        # the polytope it returns.
         self._homog: tuple[tuple[tuple[int, ...], int], ...] | None = None
 
     # -- constructors -------------------------------------------------------
@@ -149,6 +151,7 @@ class Polytope:
         return cls(dim, corners, tuple(hs))
 
     @classmethod
+    @cache  # built once per dimension
     def cube(cls, dim: int) -> "Polytope":
         return cls._box(dim, [ZERO] * dim, [ONE] * dim)
 
@@ -164,7 +167,9 @@ class Polytope:
             self._halfspaces = _facets(self._vertices, self.dim)
         return self._halfspaces
 
-    def _homogeneous(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+    def homogeneous(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The vertices as (integer numerators, positive denominator) pairs,
+        reduced by gcd, in vertex order."""
         if self._homog is None:
             self._homog = tuple(
                 (tuple(P), d) for P, d in map(common_denominator, self._vertices)
@@ -183,6 +188,15 @@ class Polytope:
             raise DimensionError(f"point dim {len(p)} != polytope dim {self.dim}")
         return all(dot(a, p) <= b for a, b in self.halfspaces)
 
+    def contains_homogeneous(self, P: Sequence[int], d: int) -> bool:
+        """Whether P/d lies in the polytope, for integers P and d > 0: the
+        halfspace tests a·P <= b·d, in integers."""
+        return all(sum(map(mul, a, P)) <= b * d for a, b in self.halfspaces)
+
+    def includes(self, other: "Polytope") -> bool:
+        """Whether every vertex of `other`, so all of it, lies in here."""
+        return all(self.contains_homogeneous(P, d) for P, d in other.homogeneous())
+
     # -- core geometry ------------------------------------------------------
 
     def cut(self, normal: Sequence, offset) -> "Polytope | None":
@@ -197,7 +211,7 @@ class Polytope:
         a, b = _norm_halfspace(normal, offset)
         if not any(a):
             return self if b >= 0 else None
-        homog = self._homogeneous()
+        homog = self.homogeneous()
         signs = [sum(map(mul, a, P)) - b * d for P, d in homog]
         if all(s <= 0 for s in signs):
             if 0 in signs and (a, b) not in self.halfspaces:

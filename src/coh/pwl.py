@@ -1,7 +1,9 @@
 """McNaughton functions as exact polyhedral complexes.
 
-The function of a formula is built in one pass over its nodes in postorder
-(`formula.postorder`), on a single list of cells.  A variable or constant
+`refine` builds one complex on which several formulas are all affine, in
+one pass over their nodes in postorder (`formula.postorder`), on a single
+list of cells started from the cube or from a given polytope;
+`mcnaughton` is its one-formula case.  A variable or constant
 gives every cell one affine form and negation complements it.  Every other
 connective is one row (switch, low, high) of affine forms computed from its
 operands' forms on the cell: its function is `low` where switch <= 0 and
@@ -12,11 +14,15 @@ their primitive-basis form here.  The cells, and their order, are those of
 overlaying the operand complexes at every connective ("One-pass complexes"
 in docs/design-notes.md).
 
-Every cell carries one integer affine form; the cells of a complex cover the
-cube and agree on shared faces, which the test suite checks exactly.
+Every cell carries one integer affine form per formula; the cells of a
+complex cover the start region and agree on shared faces, which the test
+suite checks exactly.  An affine form is least on a cell at a vertex, so
+`vertex_values` decides "f >= c on the region" ("Vertex-only verdicts").
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .exact import Rat, dot
 from .formula import (
@@ -130,14 +136,14 @@ class PwlFunction:
 
 
 def _sides(cell: Polytope, normal, offset) -> tuple[Polytope | None, Polytope | None]:
-    """The parts of a full-dimensional cell with normal·x <= offset and >= offset.
+    """The parts of a cell with normal·x <= offset and >= offset (integers).
 
-    A hyperplane that crosses the cell's interior cuts it in two; otherwise
-    the whole cell is the part on its side (the low side when the form
-    normal·x - offset vanishes on it) and the other part is None.  Either
-    way both parts are full-dimensional.
+    A hyperplane that crosses the cell's relative interior cuts it in two;
+    otherwise the whole cell is the part on its side (the low side when the
+    form normal·x - offset vanishes on it) and the other part is None.
+    Either way both parts have the cell's dimension.
     """
-    vals = [dot(normal, v) - offset for v in cell.vertices]
+    vals = [sum(map(mul, normal, P)) - offset * d for P, d in cell.homogeneous()]
     if all(v <= 0 for v in vals):
         return cell, None
     if all(v >= 0 for v in vals):
@@ -174,25 +180,33 @@ def _operands(node: Formula) -> tuple:
     return ()
 
 
-def mcnaughton(formula: Formula, ctx: VarContext) -> PwlFunction:
-    """The function of an event formula over the coordinates of `ctx`.
+def refine(
+    roots: list[Formula], ctx: VarContext, region: Polytope | None = None
+) -> tuple[list[Polytope], list[tuple[AffineForm, ...]]]:
+    """One complex on which every root formula is affine, over `region`.
 
-    One pass over the nodes in postorder refines a single cell list.  Each
-    cell maps a node to its form on the cell, for the nodes whose parents
-    are still to come; a connective splits a cell only where its switch
+    Returns parallel lists: the cells, and per cell the forms of the roots in
+    their order.  The cells cover `region` (the cube by default) and have its
+    dimension, so a lower-dimensional region is split within its affine hull.
+    One pass over the nodes of all roots in postorder, shared nodes once,
+    refines a single cell list: each cell maps the nodes still to be read to
+    their forms on it, and a connective splits a cell only where its switch
     hyperplane crosses it.
     """
-    for name in free_vars(formula):
-        if name not in ctx.index:
-            raise ValueError(f"unknown variable {name!r} for context {list(ctx.names)}")
+    unknown = [name for formula in roots for name in free_vars(formula) if name not in ctx.index]
+    if unknown:
+        raise ValueError(f"unknown variable {unknown[0]!r} for context {list(ctx.names)}")
     n = ctx.arity
     one, zero = AffineForm.constant(1, n), AffineForm.constant(0, n)
-    nodes = postorder(formula, modal_leaves=True)
+    nodes = list({id(node): node for f in roots for node in postorder(f, modal_leaves=True)}.values())
     last_read: dict[int, int] = {}
     for i, node in enumerate(nodes):
         for arg in _operands(node):
             last_read[id(arg)] = i
-    cells: list[tuple[Polytope, dict[int, AffineForm]]] = [(Polytope.cube(n), {})]
+    for formula in roots:
+        last_read[id(formula)] = len(nodes)
+    start = Polytope.cube(n) if region is None else region
+    cells: list[tuple[Polytope, dict[int, AffineForm]]] = [(start, {})]
     for i, node in enumerate(nodes):
         key = id(node)
         args = [id(arg) for arg in _operands(node)]
@@ -228,8 +242,28 @@ def mcnaughton(formula: Formula, ctx: VarContext) -> PwlFunction:
             raise TypeError(f"unknown node {node!r}")
         for _, forms in cells:
             forms[key] = form
-    root = id(formula)
-    return PwlFunction(ctx, [LinearCell(cell, forms[root]) for cell, forms in cells])
+    return [cell for cell, _ in cells], [tuple(forms[id(f)] for f in roots) for _, forms in cells]
+
+
+def mcnaughton(formula: Formula, ctx: VarContext) -> PwlFunction:
+    """The function of an event formula over the coordinates of `ctx`."""
+    cells, forms = refine([formula], ctx)
+    return PwlFunction(ctx, [LinearCell(cell, form) for cell, (form,) in zip(cells, forms)])
+
+
+def vertex_values(
+    cells: list[Polytope], forms: list[tuple[AffineForm, ...]]
+) -> dict[tuple[tuple[int, ...], int], tuple[int, ...]]:
+    """Every distinct vertex of the cells, as (P, d) (`Polytope.homogeneous`),
+    mapped to the integers d·f(P/d) for the forms f of a cell that has it;
+    the forms of a complex agree where cells meet."""
+    table: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+    for cell, cell_forms in zip(cells, forms):
+        for vertex in cell.homogeneous():
+            if vertex not in table:
+                P, d = vertex
+                table[vertex] = tuple(f.const * d + sum(map(mul, f.coeffs, P)) for f in cell_forms)
+    return table
 
 
 def evaluate(func: PwlFunction, point) -> Rat:
@@ -268,7 +302,7 @@ def oneset(func: PwlFunction) -> list[Polytope]:
                 continue
             if piece.vertices == other.vertices:
                 absorbed = i > j
-            elif all(other.contains(v) for v in piece.vertices):
+            elif other.includes(piece):
                 absorbed = True
             if absorbed:
                 break
@@ -322,15 +356,6 @@ def common_refinement(
     cells = [region for region, _ in work]
     forms = [[f[i] for i in range(len(funcs))] for _, f in work]
     return cells, forms
-
-
-def refinement_vertices(cells: list[Polytope]) -> list[tuple]:
-    """Distinct vertices across cells, in first-seen order."""
-    seen: dict[tuple, None] = {}
-    for cell in cells:
-        for v in cell.vertices:
-            seen.setdefault(v, None)
-    return list(seen)
 
 
 def is_tautology(func: PwlFunction) -> bool:

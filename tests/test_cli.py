@@ -309,6 +309,34 @@ class TestBatch:
         assert result["coherent"] is False
 
 
+class TestQueryDocuments:
+    """Malformed query documents exit 2 with one error line naming the field."""
+
+    def run_file(self, tmp_path, doc, *argv):
+        path = tmp_path / "query.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(*argv, str(path), "--json")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_batch_of_non_objects(self, tmp_path):
+        err = self.run_file(tmp_path, [1, 2], "batch")
+        assert "batch query 0" in err and "JSON object" in err
+
+    def test_unify_file_not_an_object(self, tmp_path):
+        err = self.run_file(tmp_path, [1], "unify", "verify", "--file")
+        assert "--file" in err and "JSON object" in err
+
+    def test_events_as_a_string(self, tmp_path):
+        err = self.run_file(tmp_path, [{"events": "xy"}], "batch")
+        assert "'events'" in err and "list of strings" in err
+
+    def test_book_mapping_missing_an_event(self, tmp_path):
+        err = self.run_file(tmp_path, [{"events": ["x"], "book": {"y": "1/2"}}], "batch")
+        assert "'book'" in err and "'x'" in err
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self):
         proc = subprocess.run(

@@ -21,6 +21,7 @@ from coh.formula import (
 )
 from coh.fplogic import (
     ConsequenceResult,
+    _least_exponent,
     OnesetSynthesisError,
     ProbSubstitution,
     TranslationContext,
@@ -38,7 +39,15 @@ from coh.fplogic import (
 from coh.polytope import Polytope, convex_hull, membership
 from coh.pwl import mcnaughton, oneset
 
-from util import farey, random_event, random_modal
+from util import (
+    farey,
+    random_event,
+    random_event_list,
+    random_modal,
+    reference_decide_consequence,
+    reference_deduction_exponent,
+    reference_verify_oneset,
+)
 
 
 def rp(*vals):
@@ -349,6 +358,124 @@ class TestDeductionExponent:
             if n > 1:
                 weaker = phi_f if n == 2 else Power(phi_f, n - 1)
                 assert not prove(Imp(weaker, psi_f)).holds
+
+
+# Event lists whose coherent sets are lower-dimensional: a segment, a
+# triangle in 3-space, single points.
+LOW_DIMENSIONAL_EVENTS = [
+    ["x", "~x"],
+    ["x", "~x", "y"],
+    ["x", "~x", "x & ~x"],
+    ["x & y", "~(x & y)"],
+    ["x * ~x", "y"],
+    ["1", "x"],
+]
+
+
+def _vertex_cases(seed, count=300):
+    """Seeded premise/conclusion pairs in the c08/c10 grammar over up to
+    three atoms; every fourth pair is over a lower-dimensional coherent set."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        if i % 4 == 0:
+            events = rng.choice(LOW_DIMENSIONAL_EVENTS)
+        else:
+            names = ["x", "y"][: rng.randint(1, 2)]
+            count = rng.randint(1, 3)
+            events = list(dict.fromkeys(random_event(rng, names, rng.randint(0, 2)) for _ in range(count)))
+        atoms = [f"P({e})" for e in events]
+        phi = random_modal(rng, atoms, rng.randint(0, 3))
+        cases.append((phi, random_modal(rng, atoms, rng.randint(0, 3))))
+    return cases
+
+
+def _translated(phi_text, psi_text):
+    """Both translations over one context, in the library's atom order."""
+    tctx = TranslationContext()
+    phi, psi = translate(parse_modal(phi_text), tctx), translate(parse_modal(psi_text), tctx)
+    return phi, psi, tctx
+
+
+class TestVertexVerdicts:
+    """The vertex reads against the LP-per-region reference procedures."""
+
+    CASES = _vertex_cases(606)
+
+    def test_consequence_matches_reference(self):
+        negatives = lower_dimensional = 0
+        for phi_text, psi_text in self.CASES:
+            result = decide_consequence(phi_text, psi_text)
+            holds, ref_point = reference_decide_consequence(phi_text, psi_text)
+            assert result.holds == holds, (phi_text, psi_text)
+            if holds:
+                continue
+            negatives += 1
+            phi, psi, tctx = _translated(phi_text, psi_text)
+            point = result.countermodel.prices
+            env = dict(zip(tctx.names.values(), point))
+            assert evaluate_formula(phi, env) == 1
+            assert evaluate_formula(psi, env) < 1
+            if tctx.events:
+                cs = coherent_set(EventList(tctx.events))
+                assert membership(point, cs.polytope).inside
+                lower_dimensional += not cs.polytope.is_full_dimensional()
+                ref_env = dict(zip(tctx.names.values(), ref_point))
+                assert evaluate_formula(psi, env) <= evaluate_formula(psi, ref_env)
+        assert negatives >= 60 and lower_dimensional >= 10
+
+    def test_countermodel_independent_of_operand_order(self):
+        from coh.formula import And, Iff, Or, OPlus, OTimes
+
+        commuted = 0
+        for phi_text, psi_text in self.CASES:
+            phi = parse_modal(phi_text)
+            if not isinstance(phi, (And, Or, OPlus, OTimes, Iff)):
+                continue
+            swapped = type(phi)(phi.right, phi.left)
+            first = decide_consequence(phi, psi_text).to_json_dict()
+            second = decide_consequence(swapped, psi_text).to_json_dict()
+            assert first == second, (phi_text, psi_text)
+            commuted += "countermodel" in first
+        assert commuted >= 20
+
+    def test_exponents_match_reference(self):
+        raised = 0
+        for phi_text, psi_text in self.CASES:
+            n = deduction_exponent(phi_text, psi_text)
+            assert n == reference_deduction_exponent(phi_text, psi_text), (phi_text, psi_text)
+            if n is None or n < 2:
+                continue
+            raised += 1
+            # The vertex that sets n refutes Φ^(n-1) -> Ψ.
+            from coh.formula import Imp, Power
+
+            _, point = _least_exponent(phi_text, psi_text)
+            phi, psi, tctx = _translated(phi_text, psi_text)
+            weaker = phi if n == 2 else Power(phi, n - 1)
+            assert evaluate_formula(Imp(weaker, psi), dict(zip(tctx.names.values(), point))) < 1
+            cs = coherent_set(EventList(tctx.events))
+            assert membership(point, cs.polytope).inside
+        assert raised >= 10
+
+    def test_verify_oneset_matches_reference(self):
+        rng = random.Random(61)
+        rejected = 0
+        for _ in range(20):
+            poly = coherent_set(random_event_list(rng, max_depth=2)).polytope
+            ctx = VarContext([f"x{i+1}" for i in range(poly.dim)])
+            chi = oneset_formula(poly, ctx)
+            verts = poly.vertices
+            centroid = tuple(sum(v[i] for v in verts) / len(verts) for i in range(poly.dim))
+            shrunk = convex_hull([tuple((x + c) / 2 for x, c in zip(v, centroid)) for v in verts])
+            corners = [c for c in itertools.product((ZERO, ONE), repeat=poly.dim) if not poly.contains(c)]
+            grown = convex_hull(list(verts) + corners[:1])
+            for target in (poly, shrunk, grown):
+                expected = target == poly
+                assert reference_verify_oneset(chi, target, ctx) == expected
+                assert verify_oneset(chi, target, ctx) == expected
+                rejected += not expected and target != poly
+        assert rejected >= 25
 
 
 class TestProbSubstitution:

@@ -35,7 +35,6 @@ from coh.pwl import (
     is_tautology,
     mcnaughton,
     oneset,
-    refinement_vertices,
 )
 from coh.simplex import LPResult
 
@@ -48,6 +47,11 @@ def rp(*vals):
 
 def build(text, names):
     return mcnaughton(parse_event(text), VarContext(list(names)))
+
+
+def refinement_vertices(cells):
+    """Distinct vertices across cells, in first-seen order."""
+    return list(dict.fromkeys(v for cell in cells for v in cell.vertices))
 
 
 class TestMcnaughton:

@@ -310,3 +310,93 @@ def reference_mcnaughton(formula, ctx):
         return cells
 
     return PwlFunction(ctx, rec(formula))
+
+
+# ---------------------------------------------------------------------------
+# Reference decision procedures: the LP-per-region loops that the library's
+# vertex reads replaced.  A region is parametrised by convex weights over the
+# vertices of a polytope and cut by a cell's halfspaces; one LP per pair of
+# cells minimises an affine form over it.
+
+
+def reference_min_affine_over(verts, halfspaces, objective):
+    """(feasible, min, argmin point) of an affine objective, given by its
+    values at `verts`, over conv(verts) ∩ halfspaces."""
+    from coh import simplex
+
+    zero, one = Rat(0), Rat(1)
+    m = len(verts)
+    rows = [[dot(a, v) for v in verts] for a, _ in halfspaces]
+    rhs = [Rat(b) for _, b in halfspaces] + [one]
+    A = [row + [one if j == i else zero for j in range(len(rows))] for i, row in enumerate(rows)]
+    A.append([one] * m + [zero] * len(rows))
+    res = simplex.solve_standard(list(objective) + [zero] * len(rows), A, rhs)
+    if res.status == simplex.INFEASIBLE:
+        return False, None, None
+    weights = res.x[:m]
+    point = tuple(
+        sum((w * v[i] for w, v in zip(weights, verts)), start=zero) for i in range(len(verts[0]))
+    )
+    return True, res.value, point
+
+
+def reference_decide_consequence(premise, conclusion):
+    """(holds, countermodel point): minimise each piece of ψ over the
+    coherent part of each piece of φ's oneset, one LP per pair of cells.
+    The point's coordinates are the atoms of φ, then ψ, in first occurrence."""
+    from coh.coherence import EventList, coherent_set
+    from coh.fplogic import TranslationContext, translate
+    from coh.pwl import mcnaughton, oneset_piece
+
+    phi = fm.parse_modal(premise) if isinstance(premise, str) else premise
+    psi = fm.parse_modal(conclusion) if isinstance(conclusion, str) else conclusion
+    tctx = TranslationContext()
+    phi_t, psi_t = translate(phi, tctx), translate(psi, tctx)
+    if not tctx.events:
+        holds = evaluate_formula(phi_t, {}) < 1 or evaluate_formula(psi_t, {}) == 1
+        return holds, None if holds else ()
+    pctx = tctx.book_context()
+    verts = coherent_set(EventList(tctx.events)).polytope.vertices
+    f_psi = mcnaughton(psi_t, pctx)
+    for cell in mcnaughton(phi_t, pctx).cells:
+        piece = oneset_piece(cell)
+        if piece is None:
+            continue
+        for psi_cell in f_psi.cells:
+            objective = [psi_cell.form.value(v) for v in verts]
+            region = piece.halfspaces + psi_cell.polytope.halfspaces
+            feasible, value, point = reference_min_affine_over(verts, region, objective)
+            if feasible and value < 1:
+                return False, point
+    return True, None
+
+
+def reference_deduction_exponent(premise, conclusion):
+    """Least n found by deciding ⊢ Φ^n -> Ψ for n = 1, 2, ... in turn."""
+    phi = fm.parse_modal(premise) if isinstance(premise, str) else premise
+    psi = fm.parse_modal(conclusion) if isinstance(conclusion, str) else conclusion
+    if not reference_decide_consequence(phi, psi)[0]:
+        return None
+    n = 1
+    while not reference_decide_consequence(fm.TOP, fm.Imp(phi if n == 1 else fm.Power(phi, n), psi))[0]:
+        n += 1
+    return n
+
+
+def reference_verify_oneset(formula, poly, ctx):
+    """{f = 1} == poly: oneset vertices tested with Rat halfspace sums, and
+    one LP per cell of f's complex for min f over the cell ∩ poly."""
+    from coh.pwl import mcnaughton, oneset
+
+    func = mcnaughton(formula, ctx)
+    for piece in oneset(func):
+        for v in piece.vertices:
+            if not all(dot(a, v) <= b for a, b in poly.halfspaces):
+                return False
+    verts = poly.vertices
+    for cell in func.cells:
+        objective = [cell.form.value(v) for v in verts]
+        feasible, value, _ = reference_min_affine_over(verts, cell.polytope.halfspaces, objective)
+        if feasible and value < 1:
+            return False
+    return True
