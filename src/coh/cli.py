@@ -102,7 +102,7 @@ def run_set(events) -> dict:
 def run_extend(events, book, new) -> dict:
     ev = _parse_events(events)
     psi = parse_event(new)
-    _enforce_caps(ev, [psi])
+    _enforce_caps(ev.extended_with(psi))
     try:
         lo, hi = extension_interval(ev, _parse_book(book), psi)
     except IncoherentBookError as err:
@@ -146,13 +146,16 @@ def run_ldt(premise, conclusion) -> dict:
 def run_unify_verify(identities, substitution) -> dict:
     problem = UnificationProblem([tuple(pair) for pair in identities])
     _enforce_caps(problem.atoms)
-    return {"holds": verify_unifier(problem, ProbSubstitution(substitution))}
+    subst = ProbSubstitution(substitution)
+    _enforce_modal_caps(*subst.images.values())
+    return {"holds": verify_unifier(problem, subst)}
 
 
 def run_unify_generality(identities, sigma, tau, delta) -> dict:
     problem = UnificationProblem([tuple(pair) for pair in identities])
     _enforce_caps(problem.atoms)
     sigma, tau, delta = (ProbSubstitution(m) for m in (sigma, tau, delta))
+    _enforce_modal_caps(*sigma.images.values(), *delta.images.values())
     return {"holds": verify_generality(sigma, tau, delta, problem)}
 
 

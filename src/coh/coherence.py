@@ -14,10 +14,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import simplex
-from .exact import ONE, Rat, ZERO, dot, rat_str, vec_content
-from .formula import Formula, VarContext, canonical_serialize, is_event_formula, parse_event
+from .exact import ONE, Rat, ZERO, rat_str, vec_content
+from .formula import Formula, VarContext, canonical_serialize, evaluate_formula, is_event_formula, parse_event
 from .polytope import Polytope, membership
-from .pwl import PwlFunction, common_refinement, mcnaughton
+from .pwl import common_refinement, mcnaughton, vertex_values
 from .record import Record
 
 
@@ -86,17 +86,17 @@ class Book:
 class CoherentSet:
     """The polytope of all coherent books on an event list.
 
-    Keeps the linearizing refinement and a valuation preimage for every hull
-    vertex so that membership weights convert directly into state witnesses.
+    `valuation_of` maps every distinct image (f_1(v), ..., f_k(v)) of a
+    vertex v of the linearizing complex to the first such valuation v.  The
+    hull vertices are among its keys, so membership weights convert directly
+    into state witnesses, and the keys bound every payoff over the cube.
     """
 
-    __slots__ = ("events", "polytope", "cells", "forms", "valuation_of")
+    __slots__ = ("events", "polytope", "valuation_of")
 
-    def __init__(self, events: EventList, polytope: Polytope, cells, forms, valuation_of):
+    def __init__(self, events: EventList, polytope: Polytope, valuation_of: dict[tuple, tuple]):
         self.events = events
         self.polytope = polytope
-        self.cells = cells
-        self.forms = forms
         self.valuation_of = valuation_of
 
     def boolean_point(self) -> tuple:
@@ -108,18 +108,14 @@ class CoherentSet:
     def payoff_bound(self, stakes: Sequence, prices: Sequence) -> Rat:
         """Exact max over all valuations of sum_i stakes_i (beta_i - f_i(v)).
 
-        The payoff is affine on every refinement cell, so the maximum over
-        the cube is attained at a refinement vertex.
+        The payoff is affine on every cell of the linearizing complex, so the
+        maximum over the cube is attained at a vertex, whose image is a key
+        of `valuation_of`; the hull is not consulted.
         """
-        best = None
-        for cell, cell_forms in zip(self.cells, self.forms):
-            for v in cell.vertices:
-                payoff = ZERO
-                for stake, price, form in zip(stakes, prices, cell_forms):
-                    payoff += stake * (price - form.value(v))
-                if best is None or payoff > best:
-                    best = payoff
-        return best
+        return max(
+            sum((stake * (price - x) for stake, price, x in zip(stakes, prices, image)), ZERO)
+            for image in self.valuation_of
+        )
 
 
 class CoherenceVerdict(Record):
@@ -172,20 +168,21 @@ def coherent_set(
 ) -> CoherentSet:
     """Construct the coherent set of an event list.
 
-    `order` and `extra_cuts` vary the linearizing refinement; the resulting
-    polytope is independent of them.
+    The events' values at the vertices of one complex on which all of them
+    are affine are read once, in integers (`vertex_values`); the hull of
+    their images is the coherent set, and each image keeps its first
+    valuation in table order.  `order` and `extra_cuts` vary the complex;
+    the resulting polytope is independent of them.  No cell or form is kept.
     """
     ev = events if isinstance(events, EventList) else EventList(events)
-    funcs: list[PwlFunction] = [mcnaughton(e, ev.context) for e in ev.events]
+    funcs = [mcnaughton(e, ev.context) for e in ev.events]
     cells, forms = common_refinement(funcs, order=order, extra_cuts=extra_cuts)
-    images: dict[tuple, tuple] = {}
-    for cell, cell_forms in zip(cells, forms):
-        for v in cell.vertices:
-            image = tuple(f.value(v) for f in cell_forms)
-            images.setdefault(image, v)
-    poly = Polytope.from_vertices(list(images))
-    valuation_of = {vert: images[vert] for vert in poly.vertices}
-    return CoherentSet(ev, poly, cells, forms, valuation_of)
+    valuation_of: dict[tuple, tuple] = {}
+    for (P, d), values in vertex_values(cells, forms).items():
+        image = tuple(Rat(v, d) for v in values)
+        if image not in valuation_of:
+            valuation_of[image] = tuple(Rat(p, d) for p in P)
+    return CoherentSet(ev, Polytope.from_vertices(list(valuation_of)), valuation_of)
 
 
 def check_book(events: EventList | Sequence, book: Book | Sequence) -> CoherenceVerdict:
@@ -203,14 +200,14 @@ def check_book(events: EventList | Sequence, book: Book | Sequence) -> Coherence
             if w != 0:
                 points.append(cs.valuation_of[vert])
                 weights.append(w)
-        # Re-verify through the complex: the weighted function values must
-        # reproduce every price exactly.
-        cell_of = {p: _cell_containing(cs, p) for p in points}
-        for i in range(len(ev)):
+        # Re-verify by evaluating the events at the witness valuations: the
+        # weighted values must reproduce every price exactly.
+        envs = [ev.context.env(p) for p in points]
+        for event, target in zip(ev.events, bk.prices):
             price = ZERO
-            for p, w in zip(points, weights):
-                price += w * cs.forms[cell_of[p]][i].value(p)
-            if price != bk.prices[i]:
+            for env, w in zip(envs, weights):
+                price += w * evaluate_formula(event, env)
+            if price != target:
                 raise AssertionError("state witness failed re-verification")
         return CoherenceVerdict(coherent=True, state_witness=(points, weights))
     normal, _threshold, margin = cert.separator
@@ -219,13 +216,6 @@ def check_book(events: EventList | Sequence, book: Book | Sequence) -> Coherence
     if vec_content(stakes) != 1 or cs.payoff_bound(stakes, bk.prices) > -loss:
         raise AssertionError("Dutch book failed re-verification")
     return CoherenceVerdict(coherent=False, dutch_book=(stakes, loss))
-
-
-def _cell_containing(cs: CoherentSet, valuation: tuple) -> int:
-    for idx, cell in enumerate(cs.cells):
-        if all(dot(a, valuation) <= b for a, b in cell.halfspaces):
-            return idx
-    raise AssertionError("valuation outside every refinement cell")  # pragma: no cover
 
 
 def extension_interval(

@@ -364,8 +364,8 @@ def is_tautology(func: PwlFunction) -> bool:
 
 
 def function_range(func: PwlFunction) -> tuple[Rat, Rat]:
-    """Exact (min, max) over the cube, from cell vertices."""
-    values = [
-        cell.form.value(v) for cell in func.cells for v in cell.polytope.vertices
-    ]
+    """Exact (min, max) over the cube, from cell vertices (`vertex_values`)."""
+    cells = [cell.polytope for cell in func.cells]
+    table = vertex_values(cells, [(cell.form,) for cell in func.cells])
+    values = [Rat(v, d) for (_, d), (v,) in table.items()]
     return min(values), max(values)

@@ -1,9 +1,11 @@
 """CLI surface: subcommands, JSON schemas, determinism, exit codes."""
 
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +133,34 @@ class TestErrorsAndCaps:
     def test_variable_cap(self):
         code, _, err = run_cli("set", "--events", "x1 + x2 + x3 + x4 + x5", "--json")
         assert code == 3 and "variables" in err
+
+    # The caps cover every event the library turns into a coherent set: the
+    # new event of `extend` and the atoms of substitution images.
+    WIDE = "(a|b)&(c|d)&(e|f)&(g|h)"
+
+    def assert_variable_cap(self, *argv):
+        code, out, err = run_cli(*argv, "--json")
+        assert code == 3 and out == ""
+        assert re.fullmatch(r"error: \d+ propositional variables exceed the cap of 4\n", err)
+
+    def test_variable_cap_on_new_event(self):
+        self.assert_variable_cap("extend", "--events", "x", "--book", "1/2", "--new", self.WIDE)
+
+    def test_variable_cap_on_unifier_images(self):
+        self.assert_variable_cap(
+            "unify", "verify", "--identity", "P(x)=P(x)", "--map", f"x=P({self.WIDE})"
+        )
+
+    def test_variable_cap_on_generality_images(self, tmp_path):
+        path = tmp_path / "query.json"
+        image = f"P({self.WIDE})"
+        path.write_text(json.dumps({
+            "identities": [["P(x)", "P(x)"]],
+            "sigma": {"x": image},
+            "tau": {"x": "P(x)"},
+            "delta": {"x": image},
+        }))
+        self.assert_variable_cap("unify", "generality", "--file", str(path))
 
     def test_depth_cap(self):
         deep = "x"
@@ -337,12 +367,20 @@ class TestQueryDocuments:
         assert "'book'" in err and "'x'" in err
 
 
+def child_env() -> dict:
+    """The environment of a fresh interpreter that imports `coh` from this
+    checkout's src/ before anything else on PYTHONPATH."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "coh.cli", "fp", "prove", "P(1) <-> 1", "--json"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"holds": True}
@@ -353,6 +391,8 @@ class TestStartup:
         # Each CLI call is a fresh process; inspect and its dependencies
         # would cost every call more than a small query takes.
         code = "import sys, coh.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

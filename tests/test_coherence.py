@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from coh import coherence
 from coh.coherence import (
     Book,
     EventList,
@@ -14,7 +15,7 @@ from coh.coherence import (
 )
 from coh.exact import ONE, Rat, ZERO, dot, vec_content
 from coh.formula import parse_event
-from coh.polytope import convex_hull, membership
+from coh.polytope import MembershipCertificate, convex_hull, membership
 
 from util import eval_at, random_event_list
 
@@ -110,6 +111,28 @@ class TestCheckBook:
             Book(["3/2"])
         with pytest.raises(ValueError, match="prices"):
             check_book(["x"], ["1/2", "1/2"])
+
+    def test_corrupted_state_witness_rejected(self, monkeypatch):
+        def shifted(point, poly):
+            cert = membership(point, poly)
+            weights = list(cert.weights)
+            src = next(i for i, w in enumerate(weights) if w >= Rat(1, 10))
+            weights[src] -= Rat(1, 10)
+            weights[src - 1] += Rat(1, 10)
+            return MembershipCertificate(inside=True, weights=tuple(weights))
+
+        monkeypatch.setattr(coherence, "membership", shifted)
+        with pytest.raises(AssertionError, match="state witness failed re-verification"):
+            check_book(["x | y", "x + y"], ["1/2", "1"])
+
+    def test_corrupted_dutch_book_rejected(self, monkeypatch):
+        def doubled(point, poly):
+            normal, threshold, margin = membership(point, poly).separator
+            return MembershipCertificate(inside=False, separator=(normal, threshold, 2 * margin))
+
+        monkeypatch.setattr(coherence, "membership", doubled)
+        with pytest.raises(AssertionError, match="Dutch book failed re-verification"):
+            check_book(["x | y", "x + y"], ["1", "0"])
 
     def verify_verdict(self, events, prices, verdict):
         cs = coherent_set(events)
