@@ -7,17 +7,16 @@ would silently lose exactness.  With --json every result is a single JSON
 document on stdout, byte-identical across identical invocations.
 
 Exit codes: 0 for any decided query (regardless of verdict), 2 for parse or
-validation errors, 3 when a size cap is exceeded.  Caps (defaults: 6 events,
-4 inner variables, formula depth 12) guard the double-description blow-up;
-COH_MAX_DIM overrides the event cap at your own risk.  Nesting past the
-parser's own cap (formula.MAX_NESTING) also exits 3.
+validation errors, 3 when a size cap is exceeded.  The caps (MAX_EVENTS 6
+events, MAX_INNER_VARS 4 inner variables, MAX_DEPTH formula depth 12) guard
+the double-description blow-up.  Nesting past the parser's own cap
+(formula.MAX_NESTING) also exits 3.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .coherence import Book, EventList, IncoherentBookError, check_book, coherent_set, extension_interval
@@ -43,24 +42,9 @@ class CapExceeded(ValueError):
     pass
 
 
-def _max_events() -> int:
-    override = os.environ.get("COH_MAX_DIM")
-    if override:
-        try:
-            cap = int(override)
-        except ValueError:
-            raise CapExceeded(f"COH_MAX_DIM is not an integer: {override!r}") from None
-        from . import polytope
-
-        polytope.MAX_FACET_DIM = max(polytope.MAX_FACET_DIM, cap)
-        return cap
-    return MAX_EVENTS
-
-
 def _enforce_caps(event_list: EventList, formulas=()) -> None:
-    cap = _max_events()
-    if len(event_list) > cap:
-        raise CapExceeded(f"{len(event_list)} events exceed the cap of {cap}")
+    if len(event_list) > MAX_EVENTS:
+        raise CapExceeded(f"{len(event_list)} events exceed the cap of {MAX_EVENTS}")
     if event_list.context.arity > MAX_INNER_VARS:
         raise CapExceeded(
             f"{event_list.context.arity} propositional variables exceed the cap of {MAX_INNER_VARS}"

@@ -185,30 +185,48 @@ def coherent_set(
     return CoherentSet(ev, Polytope.from_vertices(list(valuation_of)), valuation_of)
 
 
-def check_book(events: EventList | Sequence, book: Book | Sequence) -> CoherenceVerdict:
-    """Decide coherence; the verdict carries a re-verified certificate."""
+def _verify_state(events: EventList, prices: Sequence, points: list, weights: list) -> None:
+    """Re-verify a state witness by evaluating the events at its valuations:
+    the weights are convex and the weighted values reproduce every price
+    exactly.  Shares no code with the complex, the hull or the LP."""
+    if sum(weights) != 1 or any(w < 0 for w in weights):
+        raise AssertionError("state witness failed re-verification")
+    envs = [events.context.env(p) for p in points]
+    for event, target in zip(events.events, prices):
+        price = ZERO
+        for env, w in zip(envs, weights):
+            price += w * evaluate_formula(event, env)
+        if price != target:
+            raise AssertionError("state witness failed re-verification")
+
+
+def _witness(cs: CoherentSet, weights: Sequence) -> tuple[list[tuple], list[Rat]]:
+    """The valuations and weights of the hull vertices that carry weight."""
+    points: list[tuple] = []
+    support: list[Rat] = []
+    for vert, w in zip(cs.polytope.vertices, weights):
+        if w != 0:
+            points.append(cs.valuation_of[vert])
+            support.append(w)
+    return points, support
+
+
+def _book_and_events(events, book) -> tuple[EventList, Book]:
     ev = events if isinstance(events, EventList) else EventList(events)
     bk = book if isinstance(book, Book) else Book(book)
     if len(bk) != len(ev):
         raise ValueError(f"book prices {len(bk)} events {len(ev)}")
+    return ev, bk
+
+
+def check_book(events: EventList | Sequence, book: Book | Sequence) -> CoherenceVerdict:
+    """Decide coherence; the verdict carries a re-verified certificate."""
+    ev, bk = _book_and_events(events, book)
     cs = coherent_set(ev)
     cert = membership(bk.prices, cs.polytope)
     if cert.inside:
-        points: list[tuple] = []
-        weights: list[Rat] = []
-        for vert, w in zip(cs.polytope.vertices, cert.weights):
-            if w != 0:
-                points.append(cs.valuation_of[vert])
-                weights.append(w)
-        # Re-verify by evaluating the events at the witness valuations: the
-        # weighted values must reproduce every price exactly.
-        envs = [ev.context.env(p) for p in points]
-        for event, target in zip(ev.events, bk.prices):
-            price = ZERO
-            for env, w in zip(envs, weights):
-                price += w * evaluate_formula(event, env)
-            if price != target:
-                raise AssertionError("state witness failed re-verification")
+        points, weights = _witness(cs, cert.weights)
+        _verify_state(ev, bk.prices, points, weights)
         return CoherenceVerdict(coherent=True, state_witness=(points, weights))
     normal, _threshold, margin = cert.separator
     stakes = tuple(-x for x in normal)
@@ -224,14 +242,19 @@ def extension_interval(
     """Exact range of prices extending a coherent book to one more event.
 
     Every value in [lo, hi] yields a coherent extension and nothing outside
-    does.  Raises IncoherentBookError (with the Dutch book) when the given
-    book is already incoherent.
+    does.  The coherent set of the extended events projects onto that of
+    the events, so the lo LP over it is feasible exactly when the book is
+    coherent; only when it is not is `check_book` run, to raise
+    IncoherentBookError with the Dutch book.  The lo and hi optima are
+    state witnesses on the extended events, re-verified like `check_book`'s
+    (the events reproduce the prices, the new event lo or hi) before the
+    interval is returned.
+
+    The new event is parsed and checked before coherence is decided: with
+    an incoherent book and an invalid new event, the new event's error is
+    raised.
     """
-    ev = events if isinstance(events, EventList) else EventList(events)
-    bk = book if isinstance(book, Book) else Book(book)
-    verdict = check_book(ev, bk)
-    if not verdict.coherent:
-        raise IncoherentBookError(verdict)
+    ev, bk = _book_and_events(events, book)
     psi = parse_event(new_event) if isinstance(new_event, str) else new_event
     extended = ev.extended_with(psi)
     cs = coherent_set(extended)
@@ -242,6 +265,14 @@ def extension_interval(
     b = list(bk.prices) + [ONE]
     objective = [v[k] for v in verts]
     lo_res = simplex.solve_standard(objective, A, b)
+    if lo_res.status == simplex.INFEASIBLE:
+        verdict = check_book(ev, bk)
+        if verdict.coherent:
+            raise AssertionError("extension LP infeasible for a coherent book")
+        raise IncoherentBookError(verdict)
     hi_res = simplex.maximize(objective, A, b)
     assert lo_res.status == simplex.OPTIMAL and hi_res.status == simplex.OPTIMAL
+    for res in (lo_res, hi_res):
+        points, weights = _witness(cs, res.x)
+        _verify_state(extended, bk.prices + (res.value,), points, weights)
     return lo_res.value, hi_res.value

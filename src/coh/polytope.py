@@ -115,29 +115,6 @@ class Polytope:
         return cls(dim, tuple(sorted(keep)))
 
     @classmethod
-    def from_halfspaces(
-        cls, dim: int, halfspaces: Iterable[tuple[Sequence, object]], box=None
-    ) -> "Polytope | None":
-        """Vertex-enumerate an H-polytope; None when empty.
-
-        `box` is a pair (lo, hi) of rational corner vectors known to contain
-        the polytope; it defaults to the unit cube.  An exact bounding box
-        for an arbitrary bounded system can be obtained with LPs first.
-        """
-        if box is None:
-            lo = [ZERO] * dim
-            hi = [ONE] * dim
-        else:
-            lo = [Rat(v) for v in box[0]]
-            hi = [Rat(v) for v in box[1]]
-        poly = cls._box(dim, lo, hi)
-        for normal, offset in halfspaces:
-            poly = poly.cut(normal, offset)
-            if poly is None:
-                return None
-        return poly
-
-    @classmethod
     def _box(cls, dim: int, lo: Sequence, hi: Sequence) -> "Polytope":
         if dim == 0:
             return cls(0, ((),), ())
@@ -178,9 +155,6 @@ class Polytope:
 
     def affine_dim(self) -> int:
         return affine_rank(self._vertices)
-
-    def is_full_dimensional(self) -> bool:
-        return self.affine_dim() == self.dim
 
     def contains(self, point: Sequence) -> bool:
         p = _as_point(point)
@@ -273,21 +247,6 @@ class Polytope:
         if any(c < 0 or c >= self.dim for c in coords):
             raise DimensionError("projection index out of range")
         return Polytope.from_vertices([tuple(v[c] for c in coords) for v in self._vertices])
-
-    def affine_image(self, forms: Sequence) -> "Polytope":
-        """Hull of the vertex images under affine maps (exact on polytopes).
-
-        Each form is anything with a ``value(point)`` method, e.g. AffineForm.
-        """
-        for f in forms:
-            coeffs = getattr(f, "coeffs", None)
-            if coeffs is not None and len(coeffs) != self.dim:
-                raise DimensionError(
-                    f"form arity {len(coeffs)} != polytope dimension {self.dim}"
-                )
-        return Polytope.from_vertices(
-            [tuple(f.value(v) for f in forms) for v in self._vertices]
-        )
 
     def volume(self):
         """Exact volume; 0 for lower-dimensional polytopes."""
@@ -384,10 +343,14 @@ class MembershipCertificate(Record):
 
 
 def _lexmin_weights(points: Sequence[Point], target: Point) -> tuple:
-    """Lexicographically smallest convex weight vector reproducing target.
+    """(weights, None) with the lexicographically smallest convex weight
+    vector reproducing target, or (None, farkas) when there is none.
 
     Deterministic tie-break over the canonical (sorted) vertex order: the
-    feasible set is sliced one coordinate at a time.
+    feasible set is sliced one coordinate at a time.  Phase 1 of a simplex
+    solve never reads the objective, so the first slice decides
+    feasibility and, for an outside target, yields the Farkas vector that a
+    plain feasibility solve would.
     """
     A, b = _weights_system(points, target)
     n = len(points)
@@ -396,33 +359,37 @@ def _lexmin_weights(points: Sequence[Point], target: Point) -> tuple:
         cost = [ZERO] * n
         cost[j] = ONE
         res = simplex.solve_standard(cost, A, b)
-        assert res.status == simplex.OPTIMAL
+        if res.status != simplex.OPTIMAL:
+            # Later slices fix values that earlier optima attained.
+            assert j == 0 and res.status == simplex.INFEASIBLE
+            return None, res.farkas
         wj = res.x[j]
         fixed.append(wj)
         row = [ZERO] * n
         row[j] = ONE
         A.append(row)
         b.append(wj)
-    return tuple(fixed)
+    return tuple(fixed), None
 
 
 def membership(point: Sequence, poly: Polytope) -> MembershipCertificate:
-    """Exact membership with a verified certificate either way."""
+    """Exact membership with a verified certificate either way.
+
+    One chain of LPs decides it: the lexicographic weight slices, the first
+    of which doubles as the feasibility test.
+    """
     p = _as_point(point)
     if len(p) != poly.dim:
         raise DimensionError(f"point dim {len(p)} != polytope dim {poly.dim}")
     verts = poly.vertices
-    A, b = _weights_system(verts, p)
-    res = simplex.feasible_point(A, b)
-    if res.status == simplex.OPTIMAL:
-        weights = _lexmin_weights(verts, p)
+    weights, y = _lexmin_weights(verts, p)
+    if weights is not None:
         recon = tuple(dot(weights, [v[i] for v in verts]) for i in range(poly.dim))
         if recon != p or sum(weights) != 1 or any(w < 0 for w in weights):
             raise AssertionError("membership weights failed re-verification")
         return MembershipCertificate(inside=True, weights=weights)
     # Farkas dual: y over (dim coordinate rows + the convexity row) gives a
     # functional g(x) = y_geo·x with g(v) + y_0 <= 0 on vertices and > 0 at p.
-    y = res.farkas
     g = y[: poly.dim]
     normal = integerize(g)
     if all(x == 0 for x in normal):  # pragma: no cover - cannot separate with 0
@@ -481,7 +448,6 @@ def _facets(vertices: tuple[Point, ...], dim: int) -> tuple[HalfSpace, ...]:
     else:
         centroid = tuple(sum(u[i] for u in upoints) / len(upoints) for i in range(rank))
         polar_rows = [[x - c for x, c in zip(u, centroid)] for u in upoints]
-        polar_hs = [(row, ONE) for row in polar_rows]
         box_lo, box_hi = [], []
         for i in range(rank):
             unit = [ZERO] * rank
@@ -491,10 +457,10 @@ def _facets(vertices: tuple[Point, ...], dim: int) -> tuple[HalfSpace, ...]:
             assert lo_res.status == simplex.OPTIMAL and hi_res.status == simplex.OPTIMAL
             box_lo.append(lo_res.value - 1)
             box_hi.append(hi_res.value + 1)
-        polar = Polytope.from_halfspaces(
-            rank, [_norm_halfspace(a, b) for a, b in polar_hs], box=(box_lo, box_hi)
-        )
-        assert polar is not None
+        # The polar dual, vertex-enumerated by cutting its bounding box.
+        polar = Polytope._box(rank, box_lo, box_hi)
+        for row in polar_rows:
+            polar = polar.cut(row, ONE)
         inner = []
         for y in polar.vertices:
             inner.append((y, ONE + dot(y, centroid)))

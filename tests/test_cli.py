@@ -124,12 +124,6 @@ class TestErrorsAndCaps:
         code, _, err = run_cli("set", "--events", *events, "--json")
         assert code == 3 and "cap" in err
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("COH_MAX_DIM", "7")
-        events = ["x", "x", "x", "x", "x", "x", "x"]
-        code, _, _ = run_cli("set", "--events", *events, "--json")
-        assert code == 0
-
     def test_variable_cap(self):
         code, _, err = run_cli("set", "--events", "x1 + x2 + x3 + x4 + x5", "--json")
         assert code == 3 and "variables" in err

@@ -1,10 +1,11 @@
 """Coherent sets, book verdicts and their certificates, extension intervals."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from coh import coherence
+from coh import coherence, simplex
 from coh.coherence import (
     Book,
     EventList,
@@ -14,10 +15,10 @@ from coh.coherence import (
     extension_interval,
 )
 from coh.exact import ONE, Rat, ZERO, dot, vec_content
-from coh.formula import parse_event
+from coh.formula import ParseError, parse_event, parse_modal
 from coh.polytope import MembershipCertificate, convex_hull, membership
 
-from util import eval_at, random_event_list
+from util import eval_at, random_event, random_event_list, reference_extension_interval
 
 
 def rp(*vals):
@@ -217,3 +218,74 @@ class TestExtension:
         if hi < 1:
             beyond = hi + (1 - hi) / 2
             assert not check_book(events + ["x * y"], [Rat(p) for p in prices] + [beyond]).coherent
+
+    def test_matches_reference(self):
+        # Coherence read off the extension LP against `check_book` first:
+        # the same interval for a coherent book, the same Dutch book for an
+        # incoherent one.
+        rng = random.Random(32)
+        incoherent = 0
+        for _ in range(250):
+            events = random_event_list(rng, max_events=2, max_vars=2, max_depth=3)
+            new = random_event(rng, ["x", "y"], rng.randint(1, 3))
+            if rng.random() < 0.5:
+                verts = coherent_set(events).polytope.vertices
+                weights = [Rat(rng.randint(0, 3)) for _ in verts]
+                weights[0] += 1
+                prices = [
+                    sum(w * v[i] for w, v in zip(weights, verts)) / sum(weights)
+                    for i in range(len(events))
+                ]
+            else:
+                prices = [Rat(rng.randint(0, 6), 6) for _ in events]
+            try:
+                expected = reference_extension_interval(events, prices, new)
+            except IncoherentBookError as err:
+                with pytest.raises(IncoherentBookError) as got:
+                    extension_interval(events, prices, new)
+                assert got.value.verdict.to_json_dict() == err.verdict.to_json_dict()
+                incoherent += 1
+                continue
+            assert extension_interval(events, prices, new) == expected
+        assert 50 <= incoherent <= 170
+
+    def test_check_book_only_after_infeasible_lp(self, monkeypatch):
+        calls = []
+
+        def counted(events, book):
+            calls.append(book)
+            return check_book(events, book)
+
+        monkeypatch.setattr(coherence, "check_book", counted)
+        extension_interval(["x"], ["1/2"], "x*x")
+        assert calls == []
+        with pytest.raises(IncoherentBookError):
+            extension_interval(["x | ~x"], ["1/4"], "x")
+        assert len(calls) == 1
+
+    def test_corrupted_lo_weight_rejected(self, monkeypatch):
+        def shifted(c, A, b):
+            res = simplex.solve_standard(c, A, b)
+            x = list(res.x)
+            src = next(i for i, w in enumerate(x) if w >= Rat(1, 10))
+            x[src] -= Rat(1, 10)
+            x[src - 1] += Rat(1, 10)
+            return simplex.LPResult(res.status, x=tuple(x), value=res.value)
+
+        fake = SimpleNamespace(
+            solve_standard=shifted,
+            maximize=simplex.maximize,
+            OPTIMAL=simplex.OPTIMAL,
+            INFEASIBLE=simplex.INFEASIBLE,
+        )
+        monkeypatch.setattr(coherence, "simplex", fake)
+        with pytest.raises(AssertionError, match="state witness failed re-verification"):
+            extension_interval(["x"], ["1/2"], "x*x")
+
+    def test_invalid_new_event_raised_before_incoherence(self):
+        # The new event is parsed before coherence is decided, as the CLI
+        # parses --new first: an incoherent book does not mask its error.
+        with pytest.raises(ParseError):
+            extension_interval(["x | ~x"], ["1/4"], "x |")
+        with pytest.raises(ValueError, match="not an event formula"):
+            extension_interval(["x | ~x"], ["1/4"], parse_modal("P(x)"))

@@ -419,7 +419,7 @@ class TestVertexVerdicts:
             if tctx.events:
                 cs = coherent_set(EventList(tctx.events))
                 assert membership(point, cs.polytope).inside
-                lower_dimensional += not cs.polytope.is_full_dimensional()
+                lower_dimensional += cs.polytope.affine_dim() < cs.polytope.dim
                 ref_env = dict(zip(tctx.names.values(), ref_point))
                 assert evaluate_formula(psi, env) <= evaluate_formula(psi, ref_env)
         assert negatives >= 60 and lower_dimensional >= 10

@@ -5,11 +5,12 @@ import random
 
 import pytest
 
+from coh import simplex
 from coh.exact import ONE, Rat, ZERO, dot, vec_content
 from coh.polytope import DimensionError, Polytope, convex_hull, membership
-from coh.pwl import AffineForm
+from coh.simplex import solve_standard
 
-from util import cube_vertices_bruteforce, in_hull_bruteforce
+from util import cube_vertices_bruteforce, in_hull_bruteforce, reference_membership
 
 
 def rp(*vals):
@@ -105,6 +106,40 @@ class TestMembership:
         with pytest.raises(DimensionError):
             membership(rp(0, 0), convex_hull([rp(0), rp(1)]))
 
+    def test_one_lp_chain(self, monkeypatch):
+        # n slices for an inside point over n vertices; the first slice alone
+        # decides an outside one.
+        calls = []
+
+        def counted(c, A, b):
+            calls.append(len(c))
+            return solve_standard(c, A, b)
+
+        monkeypatch.setattr(simplex, "solve_standard", counted)
+        assert membership(rp("1/2", "1/2"), Polytope.cube(2)).inside
+        assert calls == [4] * 4
+        calls.clear()
+        assert not membership(rp(2, 0), Polytope.cube(2)).inside
+        assert calls == [4]
+
+    def test_matches_reference(self):
+        # One LP chain against a feasibility solve followed by the slices:
+        # the same weights inside, the same Farkas separator outside.
+        rng = random.Random(14)
+        outside = 0
+        for _ in range(240):
+            dim = rng.randint(1, 3)
+            pts = [
+                tuple(Rat(rng.randint(0, 4), 4) for _ in range(dim))
+                for _ in range(rng.randint(1, 6))
+            ]
+            hull = convex_hull(pts)
+            query = tuple(Rat(rng.randint(0, 8), 8) for _ in range(dim))
+            cert = membership(query, hull)
+            assert cert == reference_membership(query, hull)
+            outside += not cert.inside
+        assert 50 <= outside <= 190
+
 
 class TestProjection:
     def test_tetrahedron_face(self):
@@ -143,23 +178,6 @@ class TestProjection:
             square.project([])
         with pytest.raises(DimensionError):
             square.project([2])
-
-
-class TestAffineImage:
-    def test_identity(self):
-        poly = convex_hull([rp(0, 0), rp(1, 0), rp(0, 1)])
-        forms = [AffineForm.coordinate(0, 2), AffineForm.coordinate(1, 2)]
-        assert poly.affine_image(forms) == poly
-
-    def test_doubling_leaves_cube(self):
-        seg = convex_hull([rp(0), rp(1)])
-        doubled = seg.affine_image([AffineForm(0, (2,))])
-        assert doubled.vertices == (rp(0), rp(2))
-
-    def test_coordinate_swap(self):
-        tri = convex_hull([rp(0, 0), rp(1, 1), rp("1/2", 1)])
-        swapped = tri.affine_image([AffineForm.coordinate(1, 2), AffineForm.coordinate(0, 2)])
-        assert swapped == convex_hull([rp(0, 0), rp(1, 1), rp(1, "1/2")])
 
 
 class TestHalfspaces:

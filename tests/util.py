@@ -400,3 +400,59 @@ def reference_verify_oneset(formula, poly, ctx):
         if feasible and value < 1:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Reference coherence procedures: each decides its question the plain way,
+# with the solves the library now shares done separately.
+
+
+def reference_membership(point, poly):
+    """MembershipCertificate from a feasibility solve first, then the n
+    lexicographic weight slices, or a separator from the Farkas vector."""
+    from coh import simplex
+    from coh.exact import integerize
+    from coh.polytope import MembershipCertificate
+
+    p = tuple(Rat(x) for x in point)
+    verts = poly.vertices
+    n = len(verts)
+    A = [[v[i] for v in verts] for i in range(len(p))] + [[Rat(1)] * n]
+    b = list(p) + [Rat(1)]
+    res = simplex.feasible_point(A, b)
+    if res.status == simplex.INFEASIBLE:
+        normal = integerize(res.farkas[: len(p)])
+        threshold = max(dot(normal, v) for v in verts)
+        return MembershipCertificate(
+            inside=False, separator=(normal, threshold, dot(normal, p) - threshold)
+        )
+    weights = []
+    for j in range(n):
+        res = simplex.solve_standard([Rat(int(i == j)) for i in range(n)], A, b)
+        weights.append(res.x[j])
+        A = A + [[Rat(int(i == j)) for i in range(n)]]
+        b = b + [res.x[j]]
+    return MembershipCertificate(inside=True, weights=tuple(weights))
+
+
+def reference_extension_interval(events, book, new_event):
+    """(lo, hi): `check_book` decides coherence first (raising
+    IncoherentBookError), then the extension LPs run over the coherent set
+    of the extended events."""
+    from coh import simplex
+    from coh.coherence import Book, EventList, IncoherentBookError, check_book, coherent_set
+
+    ev = events if isinstance(events, EventList) else EventList(events)
+    bk = book if isinstance(book, Book) else Book(book)
+    verdict = check_book(ev, bk)
+    if not verdict.coherent:
+        raise IncoherentBookError(verdict)
+    psi = parse_event(new_event) if isinstance(new_event, str) else new_event
+    verts = coherent_set(ev.extended_with(psi)).polytope.vertices
+    k = len(ev)
+    A = [[v[i] for v in verts] for i in range(k)] + [[Rat(1)] * len(verts)]
+    b = list(bk.prices) + [Rat(1)]
+    objective = [v[k] for v in verts]
+    lo = simplex.solve_standard(objective, A, b).value
+    hi = -simplex.solve_standard([-c for c in objective], A, b).value
+    return lo, hi
