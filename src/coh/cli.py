@@ -21,7 +21,9 @@ import sys
 
 from .coherence import Book, EventList, IncoherentBookError, check_book, coherent_set, extension_interval
 from .exact import parse_rational, rat_str
-from .formula import NestingError, ParseError, canonical_serialize, formula_depth, parse_event, parse_modal
+from .formula import (
+    NestingError, ParseError, canonical_serialize, formula_depth, modal_atoms, parse_event, parse_modal
+)
 from .polytope import FacetDimensionError
 from .fplogic import (
     ProbSubstitution,
@@ -95,14 +97,9 @@ def run_extend(events, book, new) -> dict:
 
 
 def _enforce_modal_caps(*formulas) -> None:
-    from .formula import modal_atoms
-
-    atoms: dict[str, object] = {}
-    for f in formulas:
-        for event in modal_atoms(f):
-            atoms.setdefault(canonical_serialize(event), event)
+    atoms = modal_atoms(*formulas)
     if atoms:
-        _enforce_caps(EventList(list(atoms.values())), formulas)
+        _enforce_caps(EventList(atoms), formulas)
 
 
 def run_entail(premise, conclusion) -> dict:
@@ -127,18 +124,25 @@ def run_ldt(premise, conclusion) -> dict:
     return {"holds": True, "exponent": exponent}
 
 
-def run_unify_verify(identities, substitution) -> dict:
+def _unification_problem(identities) -> UnificationProblem:
+    """The problem of the identities, with every side within the caps."""
     problem = UnificationProblem([tuple(pair) for pair in identities])
-    _enforce_caps(problem.atoms)
+    _enforce_modal_caps(*(side for pair in problem.identities for side in pair))
+    return problem
+
+
+def run_unify_verify(identities, substitution) -> dict:
+    problem = _unification_problem(identities)
     subst = ProbSubstitution(substitution)
     _enforce_modal_caps(*subst.images.values())
     return {"holds": verify_unifier(problem, subst)}
 
 
 def run_unify_generality(identities, sigma, tau, delta) -> dict:
-    problem = UnificationProblem([tuple(pair) for pair in identities])
-    _enforce_caps(problem.atoms)
+    problem = _unification_problem(identities)
     sigma, tau, delta = (ProbSubstitution(m) for m in (sigma, tau, delta))
+    # τ's images range over δ's domain, not over the atoms of σ and δ's images.
+    _enforce_modal_caps(*tau.images.values())
     _enforce_modal_caps(*sigma.images.values(), *delta.images.values())
     return {"holds": verify_generality(sigma, tau, delta, problem)}
 

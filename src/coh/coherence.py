@@ -14,9 +14,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import simplex
-from .exact import ONE, Rat, ZERO, rat_str, vec_content
+from .exact import Rat, ZERO, rat_str, vec_content
 from .formula import Formula, VarContext, canonical_serialize, evaluate_formula, is_event_formula, parse_event
-from .polytope import Polytope, membership
+from .polytope import Polytope, membership, weights_system
 from .pwl import common_refinement, mcnaughton, vertex_values
 from .record import Record
 
@@ -260,9 +260,7 @@ def extension_interval(
     cs = coherent_set(extended)
     verts = cs.polytope.vertices
     k = len(ev)
-    A = [[v[i] for v in verts] for i in range(k)]
-    A.append([ONE] * len(verts))
-    b = list(bk.prices) + [ONE]
+    A, b = weights_system([v[:k] for v in verts], bk.prices)
     objective = [v[k] for v in verts]
     lo_res = simplex.solve_standard(objective, A, b)
     if lo_res.status == simplex.INFEASIBLE:

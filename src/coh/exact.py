@@ -82,12 +82,7 @@ def integerize(values: Sequence) -> tuple[int, ...]:
 
     The zero vector maps to itself.
     """
-    rats = [Rat(v) for v in values]
-    lcm = 1
-    for r in rats:
-        d = int(r.denominator)
-        lcm = lcm // gcd(lcm, d) * d
-    ints = [int(r.numerator) * (lcm // int(r.denominator)) for r in rats]
+    ints, _ = common_denominator([Rat(v) for v in values])
     g = vec_content(ints)
     if g > 1:
         ints = [v // g for v in ints]
@@ -98,30 +93,35 @@ def integerize(values: Sequence) -> tuple[int, ...]:
 # Dense exact linear algebra (small systems only).
 
 
-def mat_rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a matrix of rationals/ints via fraction-free elimination."""
+def _echelon(rows: Sequence[Sequence]) -> tuple[list[list], int, int]:
+    """Forward Gaussian elimination over the rationals: (a row echelon form,
+    its rank, the sign of its row permutation).  The first `rank` rows hold
+    the pivots, leftmost column first."""
     m = [[Rat(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    row = 0
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    rank, sign = 0, 1
     for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+        if rank == nrows:
+            break
+        pivot = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
         if pivot is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = m[row][col]
-        for r in range(row + 1, nrows):
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
+        head = m[rank][col]
+        for r in range(rank + 1, nrows):
             if m[r][col] != 0:
-                factor = m[r][col] / inv
+                factor = m[r][col] / head
                 for c in range(col, ncols):
-                    m[r][c] -= factor * m[row][c]
+                    m[r][c] -= factor * m[rank][c]
         rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+    return m, rank, sign
+
+
+def mat_rank(rows: Sequence[Sequence]) -> int:
+    """Rank of a matrix of rationals/ints by elimination over the rationals."""
+    return _echelon(rows)[1]
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
@@ -169,21 +169,10 @@ def nullspace(rows: Sequence[Sequence]) -> list[tuple]:
 
 def det(rows: Sequence[Sequence]):
     """Exact determinant of a square rational matrix."""
-    n = len(rows)
-    m = [[Rat(x) for x in row] for row in rows]
-    result = ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            result = -result
-        result *= m[col][col]
-        inv = m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] / inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
+    m, rank, sign = _echelon(rows)
+    if rank < len(m):
+        return ZERO
+    result = Rat(sign)
+    for i in range(rank):
+        result *= m[i][i]
     return result

@@ -9,21 +9,18 @@ connective nodes for the outer layer.
 
 Concrete syntax (ASCII):
 
-    iff   := imp ("<->" imp)*          left associative
-    imp   := disj ("->" imp)?          right associative
-    disj  := conj ("|" conj)*
-    conj  := sum ("&" sum)*
-    sum   := prod ("+" prod)*          ⊕
-    prod  := unary ("*" unary)*        ⊙
-    unary := "~" unary | atom ("^" INT)*
-    atom  := IDENT | "0" | "1" | "(" iff ")" | INT "." atom | "P(" iff ")"
+    binary := unary (OP unary)*        OP a binary connective of _BINARY
+    unary  := "~" unary | atom ("^" INT)*
+    atom   := IDENT | "0" | "1" | "(" binary ")" | INT "." atom | "P(" binary ")"
 
+`_BINARY` lists the spelling of each binary connective, loosest first;
+implication associates to the right and the others to the left.
 ``P(...)`` is accepted only when parsing modal formulas, and never nested.
-Nesting through "~", "->", parentheses and "n." is capped at MAX_NESTING
-levels, checked before the parser recurses.  Left-associative chains are
-built by loops and are not capped; every walk over a parsed formula goes
-through :func:`postorder`, which does not recurse, so their depth is
-bounded only by the callers' own caps.
+Nesting through "~", implication, parentheses and "n." is capped at
+MAX_NESTING levels, checked before the parser recurses.  Left-associative
+chains are built by loops and are not capped; every walk over a parsed
+formula goes through :func:`postorder`, which does not recurse, so their
+depth is bounded only by the callers' own caps.
 """
 
 from __future__ import annotations
@@ -42,10 +39,10 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-# The parser recurses one frame deep per "~", "->" and "n." and eight per
-# parenthesis; this cap keeps it well inside the interpreter's default
-# recursion limit of 1000.  Chains of left-associative operators are built
-# by loops and are not counted.
+# The parser recurses one frame deep per "~", implication and "n." and
+# three per parenthesis; this cap keeps it well inside the interpreter's
+# default recursion limit of 1000.  Chains of left-associative operators are
+# built by loops and are not counted.
 MAX_NESTING = 100
 
 
@@ -175,7 +172,10 @@ TOP = Top()
 # ---------------------------------------------------------------------------
 # Tokenizer / parser.
 
-_SYMBOLS = ("<->", "->", "|", "&", "+", "*", "~", "^", ".", "(", ")")
+# The binary connectives: spelling and node class, loosest first.
+_BINARY = (("<->", Iff), ("->", Imp), ("|", Or), ("&", And), ("+", OPlus), ("*", OTimes))
+_LEVEL = {symbol: level for level, (symbol, _) in enumerate(_BINARY)}
+_SYMBOLS = (*_LEVEL, "~", "^", ".", "(", ")")
 
 
 def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
@@ -241,56 +241,29 @@ class _Parser:
         self.nesting += 1
 
     def parse(self) -> Formula:
-        node = self.iff()
+        node = self.binary(0)
         tok = self.peek()
         if tok[0] != "EOF":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
         return node
 
-    def iff(self) -> Formula:
-        node = self.imp()
-        while self.peek()[0] == "<->":
-            self.next()
-            node = Iff(node, self.imp())
-        return node
-
-    def imp(self) -> Formula:
-        node = self.disj()
-        tok = self.peek()
-        if tok[0] == "->":
-            self.next()
-            self.nest(tok[2])
-            node = Imp(node, self.imp())
-            self.nesting -= 1
-        return node
-
-    def disj(self) -> Formula:
-        node = self.conj()
-        while self.peek()[0] == "|":
-            self.next()
-            node = Or(node, self.conj())
-        return node
-
-    def conj(self) -> Formula:
-        node = self.sum()
-        while self.peek()[0] == "&":
-            self.next()
-            node = And(node, self.sum())
-        return node
-
-    def sum(self) -> Formula:
-        node = self.prod()
-        while self.peek()[0] == "+":
-            self.next()
-            node = OPlus(node, self.prod())
-        return node
-
-    def prod(self) -> Formula:
+    def binary(self, weakest: int) -> Formula:
+        """A chain of unary operands joined by the connectives of
+        `_BINARY[weakest:]`, by precedence climbing."""
         node = self.unary()
-        while self.peek()[0] == "*":
+        while True:
+            kind, _, offset = self.peek()
+            level = _LEVEL.get(kind)
+            if level is None or level < weakest:
+                return node
             self.next()
-            node = OTimes(node, self.unary())
-        return node
+            cls = _BINARY[level][1]
+            if cls is Imp:  # right associative
+                self.nest(offset)
+                node = Imp(node, self.binary(level))
+                self.nesting -= 1
+            else:
+                node = cls(node, self.binary(level + 1))
 
     def unary(self) -> Formula:
         tok = self.peek()
@@ -333,7 +306,7 @@ class _Parser:
             raise ParseError("bare integer constant must be 0 or 1", offset)
         if kind == "(":
             self.nest(offset)
-            node = self.iff()
+            node = self.binary(0)
             self.expect(")")
             self.nesting -= 1
             return node
@@ -343,7 +316,7 @@ class _Parser:
             if self.in_event:
                 raise ParseError("nested modality", offset)
             self.in_event = True
-            event = self.iff()
+            event = self.binary(0)
             self.in_event = False
             self.expect(")")
             return PAtom(event)
@@ -367,7 +340,7 @@ def parse_modal(text: str) -> Formula:
 # nesting cap does not count, so a formula may be far deeper than the
 # interpreter's recursion limit.
 
-_OPS = {OPlus: "+", OTimes: "*", Imp: "->", Or: "|", And: "&", Iff: "<->"}
+_OPS = {cls: symbol for symbol, cls in _BINARY}
 _UNARY = (Neg, Power, Multiple)
 
 
@@ -584,16 +557,18 @@ def free_vars(formula: Formula) -> tuple[str, ...]:
     return tuple(dict.fromkeys(node.name for node in postorder(formula) if node.__class__ is Var))
 
 
-def modal_atoms(formula: Formula) -> tuple[Formula, ...]:
-    """Distinct events under P, in order of first occurrence.
+def modal_atoms(*formulas: Formula) -> tuple[Formula, ...]:
+    """Distinct events under P across the formulas, in order of first
+    occurrence.
 
     Events are identified by canonical text: syntactically distinct but
     logically equivalent events count as different atoms.
     """
     events: dict[str, Formula] = {}
-    for node in postorder(formula, modal_leaves=True):
-        if node.__class__ is PAtom:
-            events.setdefault(canonical_serialize(node.event), node.event)
+    for formula in formulas:
+        for node in postorder(formula, modal_leaves=True):
+            if node.__class__ is PAtom:
+                events.setdefault(canonical_serialize(node.event), node.event)
     return tuple(events.values())
 
 
@@ -648,13 +623,6 @@ class VarContext:
                 self.index[name] = len(new)
                 new.append(name)
         self.names = tuple(new)
-
-    @classmethod
-    def of(cls, *formulas: Formula) -> "VarContext":
-        ctx = cls()
-        for f in formulas:
-            ctx._extend(free_vars(f))
-        return ctx
 
     def extended(self, *formulas: Formula) -> "VarContext":
         """New context with any unseen variables appended (positions stable)."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .coherence import Book, EventList, coherent_set
-from .exact import Rat, common_denominator, rat_str
+from .exact import Rat, rat_str
 from .formula import (
     And,
     BOT,
@@ -89,7 +89,7 @@ def translate(formula: Formula, ctx: TranslationContext) -> Formula:
         if isinstance(node, PAtom):
             return Var(ctx.var_for(node.event))
         if isinstance(node, Var):
-            raise TypeError("bare propositional variable in a modal formula")
+            raise ValueError("bare propositional variable in a modal formula")
         return node
 
     return rebuild(formula, leaf)
@@ -113,30 +113,28 @@ class ConsequenceResult(Record):
         return out
 
 
-def _pair_vertices(premise: Formula | str, conclusion: Formula | str):
-    """(φ, ψ, context, C, table): the translations of both formulas over one
-    context, the coherent set C of their atoms, and `vertex_values` of one
-    complex over C on which both are affine.  Without atoms C is None and
-    the table holds the two values, evaluated directly, as one vertex."""
-    phi = parse_modal(premise) if isinstance(premise, str) else premise
-    psi = parse_modal(conclusion) if isinstance(conclusion, str) else conclusion
+def _vertex_table(formulas: Sequence[Formula]) -> tuple:
+    """(terms, context, C, table): the translations of the modal formulas
+    over one context, the coherent set C of their atoms, and `vertex_values`
+    of one complex over C on which every translation is affine.  Without
+    atoms C is the 0-dimensional cube, whose one vertex holds the values."""
     tctx = TranslationContext()
-    phi_t, psi_t = translate(phi, tctx), translate(psi, tctx)
-    if not tctx.events:
-        values, d = common_denominator([evaluate_formula(phi_t, {}), evaluate_formula(psi_t, {})])
-        return phi_t, psi_t, tctx, None, {((), d): tuple(values)}
-    region = coherent_set(EventList(tctx.events)).polytope
-    cells, forms = refine([phi_t, psi_t], tctx.book_context(), region=region)
-    return phi_t, psi_t, tctx, region, vertex_values(cells, forms)
+    terms = [translate(f, tctx) for f in formulas]
+    region = coherent_set(EventList(tctx.events)).polytope if tctx.events else Polytope.cube(0)
+    cells, forms = refine(terms, tctx.book_context(), region=region)
+    return terms, tctx, region, vertex_values(cells, forms)
 
 
-def _verified_book(tctx: TranslationContext, region, P, d, holds) -> tuple:
+def _pair_vertices(premise: Formula | str, conclusion: Formula | str) -> tuple:
+    """`_vertex_table` of a premise and a conclusion, each a formula or its text."""
+    return _vertex_table([parse_modal(f) if isinstance(f, str) else f for f in (premise, conclusion)])
+
+
+def _verified_book(tctx: TranslationContext, region: Polytope, P, d, holds) -> tuple:
     """The book P/d, once integer halfspace tests put it in the coherent set
     `region` and `holds` accepts the formulas' valuation there."""
     point = tuple(Rat(p, d) for p in P)
-    if (region is not None and not region.contains_homogeneous(P, d)) or not holds(
-        tctx.book_context().env(point)
-    ):
+    if not region.contains_homogeneous(P, d) or not holds(tctx.book_context().env(point)):
         raise AssertionError("certificate book failed re-verification")
     return point
 
@@ -152,7 +150,7 @@ def decide_consequence(premise: Formula | str, conclusion: Formula | str) -> Con
     evaluating both formulas there and by integer halfspace tests against
     the coherent set.
     """
-    phi_t, psi_t, tctx, region, table = _pair_vertices(premise, conclusion)
+    (phi_t, psi_t), tctx, region, table = _pair_vertices(premise, conclusion)
     events = EventList(tctx.events) if tctx.events else None
     order = sorted(range(len(tctx.names)), key=list(tctx.names).__getitem__)
     best = None
@@ -186,7 +184,7 @@ def _least_exponent(
     vertices decide it: None if some vertex has φ = 1 > ψ, and otherwise n
     is the largest ⌈(1-ψ)/(1-φ)⌉ over the vertices with φ < 1, at least 1.
     """
-    phi_t, psi_t, tctx, region, table = _pair_vertices(premise, conclusion)
+    (phi_t, psi_t), tctx, region, table = _pair_vertices(premise, conclusion)
     n, witness = 1, None
     for (P, d), (phi_v, psi_v) in table.items():
         if phi_v == d:
@@ -405,13 +403,9 @@ class ProbSubstitution:
             self.image_of(event)  # totality check with a clear error
         return substitute_atoms(f, self.images)
 
-    def image_atoms(self) -> list[Formula]:
+    def image_atoms(self) -> tuple[Formula, ...]:
         """Events under P across all images, in first-occurrence order."""
-        seen: dict[str, Formula] = {}
-        for label in self.images:
-            for event in modal_atoms(self.images[label]):
-                seen.setdefault(canonical_serialize(event), event)
-        return list(seen.values())
+        return modal_atoms(*self.images.values())
 
 
 def is_probabilistic_substitution(
@@ -429,14 +423,10 @@ def is_probabilistic_substitution(
     """
     ev = events if isinstance(events, EventList) else EventList(events)
     source = coherent_set(ev).polytope
-    tctx = TranslationContext()
-    terms = [translate(substitution.image_of(e), tctx) for e in ev.events]
-    # Without atoms the terms are constants: one cell, the 0-dimensional cube.
-    region = coherent_set(EventList(tctx.events)).polytope if tctx.events else None
-    cells, forms = refine(terms, tctx.book_context(), region=region)
+    table = _vertex_table([substitution.image_of(e) for e in ev.events])[3]
     outside = [
         tuple(Rat(v, d) for v in values)
-        for (_, d), values in vertex_values(cells, forms).items()
+        for (_, d), values in table.items()
         if not source.contains_homogeneous(values, d)
     ]
     return (False, min(outside)) if outside else (True, None)
@@ -447,20 +437,17 @@ class UnificationProblem:
 
     def __init__(self, identities: Sequence[tuple], atoms: Sequence | None = None):
         self.identities: list[tuple[Formula, Formula]] = []
-        occurring: dict[str, Formula] = {}
         for lhs, rhs in identities:
             left = parse_modal(lhs) if isinstance(lhs, str) else lhs
             right = parse_modal(rhs) if isinstance(rhs, str) else rhs
             self.identities.append((left, right))
-            for side in (left, right):
-                for event in modal_atoms(side):
-                    occurring.setdefault(canonical_serialize(event), event)
+        occurring = modal_atoms(*(side for pair in self.identities for side in pair))
         if atoms is None:
-            declared = list(occurring.values())
+            declared = list(occurring)
         else:
             declared = [parse_event(a) if isinstance(a, str) else a for a in atoms]
             labels = {canonical_serialize(e) for e in declared}
-            missing = [k for k in occurring if k not in labels]
+            missing = [k for k in map(canonical_serialize, occurring) if k not in labels]
             if missing:
                 raise ValueError(f"identities use undeclared atoms: {missing}")
         if not declared:

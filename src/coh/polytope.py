@@ -240,14 +240,6 @@ class Polytope:
                 return None
         return poly
 
-    def project(self, coords: Sequence[int]) -> "Polytope":
-        """Image under coordinate projection (0-based index list)."""
-        if not coords:
-            raise DimensionError("empty projection index set")
-        if any(c < 0 or c >= self.dim for c in coords):
-            raise DimensionError("projection index out of range")
-        return Polytope.from_vertices([tuple(v[c] for c in coords) for v in self._vertices])
-
     def volume(self):
         """Exact volume; 0 for lower-dimensional polytopes."""
         if self.dim == 0:
@@ -294,7 +286,7 @@ class Polytope:
 # Hull-side primitives.
 
 
-def _weights_system(points: Sequence[Point], target: Point):
+def weights_system(points: Sequence[Point], target: Sequence):
     """Equality system: convex weights over `points` reproducing `target`."""
     dim = len(target)
     A = [[p[i] for p in points] for i in range(dim)]
@@ -304,7 +296,7 @@ def _weights_system(points: Sequence[Point], target: Point):
 
 
 def _in_hull(point: Point, points: Sequence[Point]) -> bool:
-    A, b = _weights_system(points, point)
+    A, b = weights_system(points, point)
     return simplex.feasible_point(A, b).status == simplex.OPTIMAL
 
 
@@ -352,7 +344,7 @@ def _lexmin_weights(points: Sequence[Point], target: Point) -> tuple:
     feasibility and, for an outside target, yields the Farkas vector that a
     plain feasibility solve would.
     """
-    A, b = _weights_system(points, target)
+    A, b = weights_system(points, target)
     n = len(points)
     fixed: list = []
     for j in range(n):
@@ -410,17 +402,12 @@ def _facets(vertices: tuple[Point, ...], dim: int) -> tuple[HalfSpace, ...]:
         raise FacetDimensionError(
             f"facet enumeration capped at dimension {MAX_FACET_DIM} (got {dim})"
         )
-    facets: list[HalfSpace] = []
     if dim == 0:
         return ()
     if len(vertices) == 1:
         v = vertices[0]
-        for i in range(dim):
-            unit = [0] * dim
-            unit[i] = 1
-            facets.append(_norm_halfspace(unit, v[i]))
-            facets.append(_norm_halfspace([-u for u in unit], -v[i]))
-        return tuple(sorted(facets))
+        return tuple(sorted(Polytope._box(dim, v, v).halfspaces))
+    facets: list[HalfSpace] = []
 
     base = vertices[0]
     diffs = [[x - y for x, y in zip(v, base)] for v in vertices[1:]]

@@ -90,9 +90,6 @@ class AffineForm(Frozen):
     def shifted(self, k: int) -> "AffineForm":
         return AffineForm(self.const + k, self.coeffs)
 
-    def is_constant(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     @classmethod
     def constant(cls, value: int, arity: int) -> "AffineForm":
         return cls(value, (0,) * arity)
@@ -108,14 +105,6 @@ class LinearCell(Frozen):
     def __init__(self, polytope: Polytope, form: AffineForm):
         set_field(self, "polytope", polytope)
         set_field(self, "form", form)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.polytope, self.form) == (other.polytope, other.form)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.polytope, self.form))
 
 
 class PwlFunction:
@@ -276,7 +265,7 @@ def evaluate(func: PwlFunction, point) -> Rat:
     if func.arity == 0:
         return Rat(func.cells[0].form.const)
     for cell in func.cells:
-        if all(dot(a, p) <= b for a, b in cell.polytope.halfspaces):
+        if cell.polytope.contains(p):
             return cell.form.value(p)
     raise AssertionError(f"complex does not cover point {p}")  # pragma: no cover
 

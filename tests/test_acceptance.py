@@ -37,7 +37,7 @@ from coh.fplogic import (
 )
 from coh.polytope import convex_hull, membership
 
-from util import farey, random_event, random_event_list, random_modal
+from util import farey, project, random_event, random_event_list, random_modal
 
 
 def rp(*vals):
@@ -75,7 +75,7 @@ def test_c02_three_event_example_and_projections():
     # rebuilt over the same variable context.
     for coords in ([0, 1], [0, 2], [1, 2]):
         pair = EventList([events[c] for c in coords], context=cs.events.context)
-        assert cs.polytope.project(coords) == coherent_set(pair).polytope
+        assert project(cs.polytope, coords) == coherent_set(pair).polytope
     # Non-uniqueness: {x∧y, x⊕y} and {x⊙y, x⊕y} share one coherent set.
     left = coherent_set(["x & y", "x + y"]).polytope
     right = coherent_set(["x * y", "x + y"]).polytope

@@ -3,13 +3,17 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coh.cli import main, run_query
+from coh.cli import _COMMANDS, _OPERATIONS, main, run_query
 
 
 def run_cli(*argv):
@@ -114,6 +118,15 @@ class TestOtherCommands:
         assert code == 0 and json.loads(out) == {"holds": True}
 
 
+def _deep_modal(levels: int) -> str:
+    """A modal formula of depth 2·levels + 1 that stays within the nesting
+    cap: `levels` nested "2.(...) <-> P(v)" over four atoms."""
+    term = "P(x)"
+    for i in range(levels):
+        term = f"2.({term}) <-> P({'yzwx'[i % 4]})"
+    return term
+
+
 class TestErrorsAndCaps:
     def test_parse_error_exit_2(self):
         code, _, err = run_cli("check", "--events", "x |", "--book", "1", "--json")
@@ -156,12 +169,38 @@ class TestErrorsAndCaps:
         }))
         self.assert_variable_cap("unify", "generality", "--file", str(path))
 
+    def test_bare_variable_in_modal_formula_exit_2(self):
+        code, out, err = run_cli("fp", "entail", "--premise", "x", "--conclusion", "P(x)", "--json")
+        assert code == 2 and out == ""
+        assert err == "error: bare propositional variable in a modal formula\n"
+
     def test_depth_cap(self):
         deep = "x"
         for _ in range(13):
             deep = f"~({deep})"
         code, _, err = run_cli("set", "--events", deep, "--json")
         assert code == 3 and "depth" in err
+
+    DEEP_MODAL = _deep_modal(45)
+
+    def assert_depth_cap(self, *argv):
+        code, out, err = run_cli(*argv, "--json")
+        assert code == 3 and out == ""
+        assert err == "error: formula depth 91 exceeds the cap of 12\n"
+
+    def test_depth_cap_on_identities(self):
+        maps = [arg for v in "xyzw" for arg in ("--map", f"{v}=P({v})")]
+        self.assert_depth_cap("unify", "verify", "--identity", f"{self.DEEP_MODAL} = 1", *maps)
+
+    def test_depth_cap_on_tau_images(self, tmp_path):
+        path = tmp_path / "query.json"
+        path.write_text(json.dumps({
+            "identities": [["P(x)", "P(x)"]],
+            "sigma": {"x": "P(x)"},
+            "tau": {"x": self.DEEP_MODAL},
+            "delta": {v: f"P({v})" for v in "xyzw"},
+        }))
+        self.assert_depth_cap("unify", "generality", "--file", str(path))
 
     @pytest.mark.parametrize(
         "text",
@@ -359,6 +398,96 @@ class TestQueryDocuments:
     def test_book_mapping_missing_an_event(self, tmp_path):
         err = self.run_file(tmp_path, [{"events": ["x"], "book": {"y": "1/2"}}], "batch")
         assert "'book'" in err and "'x'" in err
+
+
+# Small formulas, event and modal mixed, and short texts over the
+# characters of both languages.
+_FORMULA = st.recursive(
+    st.sampled_from(["x", "y", "0", "1", "P(x)", "P(x|y)"]),
+    lambda inner: inner.map("~{}".format)
+    | st.tuples(inner, st.sampled_from(["+", "*", "|", "&", "->", "<->"]), inner)
+    .map(" ".join)
+    .map("({})".format),
+    max_leaves=3,
+) | st.text(alphabet="xyP()~+*|&-<>.^012 ", max_size=8)
+_PRICE = st.one_of(st.sampled_from(["0", "1", "1/2", "2/3", "-1", "3/2", "1/0", "0.5"]), st.text(max_size=4))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False, allow_infinity=False)
+    | _FORMULA,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_FORMULA, inner, max_size=3),
+    max_leaves=6,
+)
+_PAIRS = st.lists(st.lists(_FORMULA, min_size=2, max_size=2), min_size=1, max_size=2)
+_MAPPING = st.dictionaries(_FORMULA, _FORMULA, max_size=3)
+# Each field of a query, with values of its type.
+_FIELDS = {
+    "op": st.sampled_from(sorted(_OPERATIONS) + ["fp", "batch"]),
+    "events": st.lists(_FORMULA, min_size=1, max_size=3),
+    "book": st.lists(_PRICE, max_size=3) | st.dictionaries(_FORMULA, _PRICE, max_size=3),
+    "new": _FORMULA,
+    "premise": _FORMULA,
+    "conclusion": _FORMULA,
+    "identities": _PAIRS,
+    "substitution": _MAPPING,
+    "sigma": _MAPPING,
+    "tau": _MAPPING,
+    "delta": _MAPPING,
+}
+
+
+def _query(op: str):
+    """Documents of one operation: its fields with values of their types,
+    sometimes its name, sometimes an unknown key."""
+    fields = {name: _FIELDS[name] for name in _OPERATIONS[op][1]}
+    return st.fixed_dictionaries(fields, optional={"op": st.just(op), "note": _JSON})
+
+
+_TYPED_QUERY = st.sampled_from(sorted(_OPERATIONS)).flatmap(_query)
+_QUERY = st.one_of(
+    _TYPED_QUERY,
+    st.dictionaries(
+        st.sampled_from(sorted(_FIELDS)) | st.text(max_size=5), _FIELDS["op"] | _JSON, max_size=4
+    ),
+    _JSON,
+)
+
+
+class TestDocumentFuzz:
+    """Any batch document is answered with exit 0, 2 or 3, and anything on
+    stderr is `error:` lines."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.lists(_TYPED_QUERY, min_size=1, max_size=2),
+        st.lists(_QUERY, max_size=3),
+        st.fixed_dictionaries({"queries": st.lists(_QUERY, max_size=3)}),
+        _JSON,
+    ))
+    def test_batch_documents(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "batch.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            code, _, err = run_cli("batch", str(path), "--json")
+        assert code in (0, 2, 3)
+        assert all(line.startswith("error: ") for line in err.splitlines())
+
+
+def _readme_commands() -> list[list[str]]:
+    """The commands of the README's CLI block, without the leading `coh`."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()]
+
+
+class TestReadme:
+    def test_cli_examples_run(self):
+        # The block shows every subcommand; those that need no input file run.
+        commands = _readme_commands()
+        assert {argv[0] for argv in commands} == set(_COMMANDS)
+        for argv in commands:
+            if not any(arg.endswith(".json") for arg in argv):
+                code, _, err = run_cli(*argv)
+                assert code == 0, (argv, err)
 
 
 def child_env() -> dict:

@@ -18,7 +18,7 @@ from coh.exact import ONE, Rat, ZERO, dot, vec_content
 from coh.formula import ParseError, parse_event, parse_modal
 from coh.polytope import MembershipCertificate, convex_hull, membership
 
-from util import eval_at, random_event, random_event_list, reference_extension_interval
+from util import eval_at, project, random_event, random_event_list, reference_extension_interval
 
 
 def rp(*vals):
@@ -76,7 +76,7 @@ class TestCoherentSet:
             cs = coherent_set(events)
             coords = sorted(rng.sample(range(len(events)), rng.randint(1, len(events) - 1)))
             sub = EventList([events[c] for c in coords], context=cs.events.context)
-            assert cs.polytope.project(coords) == coherent_set(sub).polytope
+            assert project(cs.polytope, coords) == coherent_set(sub).polytope
             checked += 1
 
     def test_duplicate_events_forced_equal(self):

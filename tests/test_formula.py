@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +36,7 @@ from coh.formula import (
     parse_modal,
 )
 
-from util import eval_at
+from util import eval_at, random_event, random_modal, reference_parse
 
 
 class TestParsing:
@@ -245,6 +246,58 @@ class TestRoundTrip:
         assert canonical_serialize(parse_event(text)) == text
 
 
+def _outcome(parse, text, modal):
+    """The AST of a parse, or the class, message and offset of its error."""
+    try:
+        return parse(text, modal)
+    except ParseError as err:
+        return type(err), str(err), err.offset
+
+
+def _library_parse(text, modal):
+    return parse_modal(text) if modal else parse_event(text)
+
+
+# Token strings, mostly near-grammatical: every token of the language, with
+# and without spaces between them.
+_TOKENS = ["x", "y", "z1", "0", "1", "2", "3", "00", "<->", "->", "|", "&", "+", "*",
+           "~", "^", ".", "(", ")", "P(", " ", "?"]
+
+
+class TestReferenceParser:
+    """The precedence-climbing parser against the recursive descent it
+    replaced (`util.reference_parse`): the same AST, or the same error with
+    the same message at the same offset."""
+
+    def test_random_token_strings(self):
+        rng = random.Random(20231)
+        for _ in range(20000):
+            text = "".join(rng.choice(_TOKENS) for _ in range(rng.randint(0, 16)))
+            modal = rng.random() < 0.5
+            assert _outcome(_library_parse, text, modal) == _outcome(reference_parse, text, modal), text
+
+    def test_random_formula_texts(self):
+        rng = random.Random(20232)
+        for _ in range(300):
+            text = random_event(rng, ["x", "y", "z"], rng.randint(0, 5))
+            modal = random_modal(rng, ["P(x)", "P(x -> y)", "P(~(x & y))"], rng.randint(0, 5))
+            assert parse_event(text) == reference_parse(text)
+            assert parse_modal(modal) == reference_parse(modal, modal=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(formulas())
+    def test_canonical_texts(self, f):
+        text = canonical_serialize(f)
+        assert parse_event(text) == reference_parse(text) == f
+
+    @pytest.mark.parametrize("opener,closer", [("(", ")"), ("~", ""), ("x -> ", ""), ("2.", "")])
+    @pytest.mark.parametrize("depth", [MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1])
+    def test_nesting_depths(self, opener, closer, depth):
+        text = opener * depth + "x" + closer * depth
+        for modal in (False, True):
+            assert _outcome(_library_parse, text, modal) == _outcome(reference_parse, text, modal)
+
+
 class TestNormalization:
     @settings(max_examples=200, deadline=None)
     @given(formulas())
@@ -292,11 +345,11 @@ class TestEvaluation:
 
 class TestVarContext:
     def test_first_occurrence_order(self):
-        ctx = VarContext.of(parse_event("y + x * y + z"))
+        ctx = VarContext().extended(parse_event("y + x * y + z"))
         assert ctx.names == ("y", "x", "z")
 
     def test_positions_stable_under_extension(self):
-        ctx = VarContext.of(parse_event("y + x"))
+        ctx = VarContext().extended(parse_event("y + x"))
         extended = ctx.extended(parse_event("z * x"))
         assert extended.names == ("y", "x", "z")
         for name in ctx.names:

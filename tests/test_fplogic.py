@@ -258,7 +258,7 @@ class TestAxiomSuite:
         checked = 0
         for text in candidates:
             event = parse_event(text)
-            ctx = VarContext.of(event)
+            ctx = VarContext().extended(event)
             if ctx.arity == 0:
                 continue
             if is_tautology(mcnaughton(event, ctx)):

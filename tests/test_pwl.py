@@ -63,7 +63,7 @@ class TestMcnaughton:
     def test_top_single_cell(self):
         f = build("1", "x")
         assert len(f.cells) == 1
-        assert f.cells[0].form.const == 1 and f.cells[0].form.is_constant()
+        assert f.cells[0].form == AffineForm(1, (0,))
 
     def test_power_times_example(self):
         assert evaluate(build("(x + x) * x", "x"), rp("3/10")) == 0

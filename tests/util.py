@@ -76,6 +76,12 @@ def random_event_list(rng: random.Random, max_events=3, max_vars=3, max_depth=4)
     return [random_event(rng, variables, rng.randint(1, max_depth)) for _ in range(count)]
 
 
+def project(poly, coords):
+    """The image of a polytope under the projection onto the coordinates
+    `coords` (0-based): the hull of its projected vertices."""
+    return Polytope.from_vertices([tuple(v[c] for c in coords) for v in poly.vertices])
+
+
 def in_hull_bruteforce(point, vertices) -> bool:
     """Membership oracle via Carathéodory: some affinely independent vertex
     subset of size <= dim+1 carries the point with nonnegative weights.
@@ -456,3 +462,149 @@ def reference_extension_interval(events, book, new_event):
     lo = simplex.solve_standard(objective, A, b).value
     hi = -simplex.solve_standard([-c for c in objective], A, b).value
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# Reference parser: the recursive descent, one method per binding level, that
+# the library's precedence-climbing parser replaced.  It reads the library's
+# tokens and must give the same AST, or the same error at the same offset.
+
+
+class _RefParser:
+    def __init__(self, text, modal):
+        self.tokens = list(fm._tokenize(text))
+        self.pos = 0
+        self.modal = modal
+        self.in_event = not modal
+        self.nesting = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.next()
+        if tok[0] != kind:
+            raise fm.ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+        return tok
+
+    def nest(self, offset):
+        if self.nesting == fm.MAX_NESTING:
+            raise fm.NestingError(f"formula nesting exceeds the cap of {fm.MAX_NESTING}", offset)
+        self.nesting += 1
+
+    def parse(self):
+        node = self.iff()
+        tok = self.peek()
+        if tok[0] != "EOF":
+            raise fm.ParseError(f"unexpected {tok[1]!r}", tok[2])
+        return node
+
+    def iff(self):
+        node = self.imp()
+        while self.peek()[0] == "<->":
+            self.next()
+            node = fm.Iff(node, self.imp())
+        return node
+
+    def imp(self):
+        node = self.disj()
+        tok = self.peek()
+        if tok[0] == "->":
+            self.next()
+            self.nest(tok[2])
+            node = fm.Imp(node, self.imp())
+            self.nesting -= 1
+        return node
+
+    def disj(self):
+        node = self.conj()
+        while self.peek()[0] == "|":
+            self.next()
+            node = fm.Or(node, self.conj())
+        return node
+
+    def conj(self):
+        node = self.sum()
+        while self.peek()[0] == "&":
+            self.next()
+            node = fm.And(node, self.sum())
+        return node
+
+    def sum(self):
+        node = self.prod()
+        while self.peek()[0] == "+":
+            self.next()
+            node = fm.OPlus(node, self.prod())
+        return node
+
+    def prod(self):
+        node = self.unary()
+        while self.peek()[0] == "*":
+            self.next()
+            node = fm.OTimes(node, self.unary())
+        return node
+
+    def unary(self):
+        tok = self.peek()
+        if tok[0] == "~":
+            self.next()
+            self.nest(tok[2])
+            node = fm.Neg(self.unary())
+            self.nesting -= 1
+            return node
+        node = self.atom()
+        while self.peek()[0] == "^":
+            self.next()
+            tok = self.expect("INT")
+            n = int(tok[1])
+            if n < 1:
+                raise fm.ParseError("power exponent must be >= 1", tok[2])
+            node = fm.Power(node, n)
+        return node
+
+    def atom(self):
+        kind, value, offset = self.next()
+        if kind == "IDENT":
+            return fm.Var(value)
+        if kind == "INT":
+            if self.peek()[0] == ".":
+                self.next()
+                n = int(value)
+                if n < 1:
+                    raise fm.ParseError("multiple count must be >= 1", offset)
+                self.nest(offset)
+                node = fm.Multiple(n, self.atom())
+                self.nesting -= 1
+                return node
+            if value == "0":
+                return fm.BOT
+            if value == "1":
+                return fm.TOP
+            raise fm.ParseError("bare integer constant must be 0 or 1", offset)
+        if kind == "(":
+            self.nest(offset)
+            node = self.iff()
+            self.expect(")")
+            self.nesting -= 1
+            return node
+        if kind == "PMOD":
+            if not self.modal:
+                raise fm.ParseError("modality P(...) not allowed in an event formula", offset)
+            if self.in_event:
+                raise fm.ParseError("nested modality", offset)
+            self.in_event = True
+            event = self.iff()
+            self.in_event = False
+            self.expect(")")
+            return fm.PAtom(event)
+        raise fm.ParseError(f"unexpected {value!r}", offset)
+
+
+def reference_parse(text, modal=False):
+    """The formula of `text` (an event formula, or a modal one with `modal`)."""
+    return _RefParser(text, modal).parse()
