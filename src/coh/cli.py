@@ -51,7 +51,11 @@ def _enforce_caps(event_list: EventList, formulas=()) -> None:
         raise CapExceeded(
             f"{event_list.context.arity} propositional variables exceed the cap of {MAX_INNER_VARS}"
         )
-    for f in list(event_list.events) + list(formulas):
+    _enforce_depth(*event_list.events, *formulas)
+
+
+def _enforce_depth(*formulas) -> None:
+    for f in formulas:
         if formula_depth(f) > MAX_DEPTH:
             raise CapExceeded(f"formula depth {formula_depth(f)} exceeds the cap of {MAX_DEPTH}")
 
@@ -100,6 +104,8 @@ def _enforce_modal_caps(*formulas) -> None:
     atoms = modal_atoms(*formulas)
     if atoms:
         _enforce_caps(EventList(atoms), formulas)
+    else:
+        _enforce_depth(*formulas)
 
 
 def run_entail(premise, conclusion) -> dict:

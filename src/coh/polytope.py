@@ -18,8 +18,10 @@ integer cross-multiplications; Rat tuples are built only for the result's
 vertices.  Containment tests on such points (`contains_homogeneous`) are
 integer too.
 Facet enumeration reduces to vertex enumeration of the polar dual inside the
-affine hull.  Both directions are exact and certified by construction; the
-scale intended here is dimension <= 6.
+affine hull, cut from a box that bounds the polar in closed form by LP
+duality (`_polar_box`), so it solves no LP.  Both directions are exact, and
+the facets are re-verified against every vertex before they are returned;
+the scale intended here is dimension <= 6.
 """
 
 from __future__ import annotations
@@ -435,15 +437,7 @@ def _facets(vertices: tuple[Point, ...], dim: int) -> tuple[HalfSpace, ...]:
     else:
         centroid = tuple(sum(u[i] for u in upoints) / len(upoints) for i in range(rank))
         polar_rows = [[x - c for x, c in zip(u, centroid)] for u in upoints]
-        box_lo, box_hi = [], []
-        for i in range(rank):
-            unit = [ZERO] * rank
-            unit[i] = ONE
-            lo_res = simplex.bound_linear(unit, polar_rows, [ONE] * len(polar_rows), "min")
-            hi_res = simplex.bound_linear(unit, polar_rows, [ONE] * len(polar_rows), "max")
-            assert lo_res.status == simplex.OPTIMAL and hi_res.status == simplex.OPTIMAL
-            box_lo.append(lo_res.value - 1)
-            box_hi.append(hi_res.value + 1)
+        box_lo, box_hi = _polar_box(polar_rows, rank)
         # The polar dual, vertex-enumerated by cutting its bounding box.
         polar = Polytope._box(rank, box_lo, box_hi)
         for row in polar_rows:
@@ -459,9 +453,33 @@ def _facets(vertices: tuple[Point, ...], dim: int) -> tuple[HalfSpace, ...]:
         facets.append(_norm_halfspace(lifted, offset))
 
     facets = sorted(set(facets))
-    for a, b in facets:
-        assert all(dot(a, v) <= b for v in vertices)
+    if not all(dot(a, v) <= b for a, b in facets for v in vertices):
+        raise AssertionError("facets failed re-verification")
     return tuple(facets)
+
+
+def _polar_box(rows: list[list], rank: int) -> tuple[list, list]:
+    """A box containing {y : row·y <= 1 for every row} strictly, by LP duality.
+
+    The rows W sum to zero and span the rank-dimensional space.  If
+    Wᵀλ = e_j with λ >= 0, every point of the polar has y_j = λ·(W y) <= Σλ.
+    One rref of [Wᵀ | I] gives α with Wᵀα = e_j (the j-th column of the
+    transform on the pivot columns, 0 elsewhere); α + t·1 solves it too, as
+    the rows sum to zero, and t = max(0, -min α) makes it nonnegative.  The
+    same with -e_j bounds y_j from below.  The margin of 1 keeps every box
+    facet slack on the polar.
+    """
+    m = len(rows)
+    reduced, _ = rref(
+        [[row[j] for row in rows] + [ONE if k == j else ZERO for k in range(rank)] for j in range(rank)]
+    )
+    box_lo, box_hi = [], []
+    for j in range(rank):
+        alpha = [reduced[k][m + j] for k in range(rank)]
+        total = sum(alpha)
+        box_hi.append(total + m * max(ZERO, -min(alpha)) + 1)
+        box_lo.append(total - m * max(ZERO, max(alpha)) - 1)
+    return box_lo, box_hi
 
 
 # ---------------------------------------------------------------------------

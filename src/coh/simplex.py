@@ -15,6 +15,10 @@ For an infeasible system the phase-1 dual vector y is returned; it satisfies
 y·A_j <= 0 for every column j and y·b > 0, i.e. it is a Farkas certificate
 that no nonnegative solution exists.  Callers turn it into separating
 hyperplanes and Dutch-book stakes.
+
+The callers are hull and membership tests (`polytope`) and the coherence
+and extension LPs (`coherence`).  Facet enumeration solves none: it bounds
+its polar dual in closed form.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence
 
-from .exact import ONE, Rat, ZERO, common_denominator
+from .exact import Rat, ZERO, common_denominator
 from .record import Record
 
 OPTIMAL = "optimal"
@@ -202,36 +206,3 @@ def maximize(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
         res.value = -res.value
     return res
 
-
-def bound_linear(
-    objective: Sequence,
-    A_ub: Sequence[Sequence],
-    b_ub: Sequence,
-    sense: str,
-) -> LPResult:
-    """Optimize objective·y over {y free : A_ub y <= b_ub}.
-
-    Free variables are split as y = y+ - y-, inequalities get slacks.  Used
-    for exact bounding boxes of H-polytopes; `sense` is "min" or "max".
-    """
-    m = len(A_ub)
-    d = len(objective)
-    n = 2 * d + m
-    A = []
-    for i, row in enumerate(A_ub):
-        line = []
-        for v in row:
-            line.append(Rat(v))
-        for v in row:
-            line.append(-Rat(v))
-        line.extend(ONE if j == i else ZERO for j in range(m))
-        A.append(line)
-    c = [Rat(v) for v in objective] + [-Rat(v) for v in objective] + [ZERO] * m
-    if sense == "max":
-        c = [-v for v in c]
-    res = solve_standard(c, A, b_ub)
-    if res.status != OPTIMAL:
-        return res
-    y = tuple(res.x[j] - res.x[d + j] for j in range(d))
-    value = -res.value if sense == "max" else res.value
-    return LPResult(OPTIMAL, x=y, value=value)

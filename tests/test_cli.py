@@ -223,13 +223,20 @@ class TestErrorsAndCaps:
             ["fp", "entail", "--premise", "P(x)+" * 3000 + "P(x)", "--conclusion", "P(x)"],
             ["ldt", "--premise", "P(x)", "--conclusion", "P(x)+" * 3000 + "P(x)"],
             ["batch", "BATCH"],
+            ["fp", "prove", "1+" * 3000 + "1"],
+            ["fp", "entail", "--premise", "1+" * 3000 + "1", "--conclusion", "1"],
+            ["ldt", "--premise", "1", "--conclusion", "1+" * 3000 + "1"],
+            ["unify", "verify", "--identity", "P(x)=P(x)", "--map", "x=" + "1+" * 3000 + "1"],
         ],
-        ids=["set-sum", "check-power", "prove-modal-sum", "prove-event-sum", "entail", "ldt", "batch"],
+        ids=[
+            "set-sum", "check-power", "prove-modal-sum", "prove-event-sum", "entail", "ldt", "batch",
+            "prove-ground", "entail-ground", "ldt-ground", "unify-ground-image",
+        ],
     )
     def test_deep_chain_exits_3(self, argv, tmp_path):
         # Left-associative chains and postfix powers are built by loops the
         # nesting cap does not count; every walk over the result is
-        # iterative, so the depth cap reports them.
+        # iterative, so the depth cap reports them, with atoms or without.
         if argv[-1] == "BATCH":
             path = tmp_path / "deep.json"
             path.write_text(json.dumps({"queries": [{"events": ["x+" * 3000 + "x"]}]}))

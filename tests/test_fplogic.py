@@ -478,6 +478,40 @@ class TestVertexVerdicts:
         assert rejected >= 25
 
 
+class TestConsequenceLpCount:
+    """The LPs a consequence query solves are the hull LPs of its coherent
+    set.  Facet enumeration and the vertex reads solve none."""
+
+    # Pinned: an LP added on the consequence path changes this count.
+    LP_CALLS = 103
+
+    def test_lp_count_pinned(self, monkeypatch):
+        from coh import simplex
+
+        rng = random.Random(808)
+        pairs = []
+        for _ in range(50):
+            names = ["x", "y"][: rng.randint(1, 2)]
+            events = list(
+                dict.fromkeys(
+                    random_event(rng, names, rng.randint(0, 2)) for _ in range(rng.randint(1, 3))
+                )
+            )
+            atoms = [f"P({e})" for e in events]
+            pairs.append(tuple(random_modal(rng, atoms, rng.randint(0, 3)) for _ in range(2)))
+        calls = []
+        solve = simplex.solve_standard
+
+        def counted(c, A, b):
+            calls.append(len(c))
+            return solve(c, A, b)
+
+        monkeypatch.setattr(simplex, "solve_standard", counted)
+        for phi, psi in pairs:
+            decide_consequence(phi, psi)
+        assert len(calls) == self.LP_CALLS
+
+
 class TestProbSubstitution:
     def test_identity_substitution(self):
         sub = ProbSubstitution({"x": "P(x)", "y": "P(y)"})

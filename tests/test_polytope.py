@@ -7,10 +7,25 @@ import pytest
 
 from coh import simplex
 from coh.exact import ONE, Rat, ZERO, dot, vec_content
-from coh.polytope import DimensionError, Polytope, convex_hull, membership
+from coh.polytope import (
+    DimensionError,
+    Polytope,
+    _facets,
+    _polar_box,
+    affine_rank,
+    convex_hull,
+    membership,
+)
 from coh.simplex import solve_standard
 
-from util import cube_vertices_bruteforce, in_hull_bruteforce, project, reference_membership
+from util import (
+    cube_vertices_bruteforce,
+    in_hull_bruteforce,
+    project,
+    reference_facets,
+    reference_membership,
+    reference_polar_bound,
+)
 
 
 def rp(*vals):
@@ -259,6 +274,79 @@ class TestVertexEnumeration:
             for p in satisfied:
                 assert in_hull_bruteforce(p, poly.vertices), (halfspaces, p)
         assert {3, 7} <= denominators and dropped >= 5, (denominators, dropped)
+
+
+def _random_point_set(rng):
+    """(points, dim): a sorted point list in dims 1-4, spanning an affine
+    subspace of random dimension, with coordinates of denominator <= 8; some
+    lists repeat a point, and some hold a single point."""
+    dim = rng.randint(1, 4)
+    span = 0 if rng.random() < 0.1 else rng.randint(1, dim)
+    base = [Rat(rng.randint(0, 8), rng.randint(1, 8)) for _ in range(dim)]
+    directions = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(span)]
+    points = []
+    for _ in range(1 if span == 0 else rng.randint(2, 8)):
+        weights = [Rat(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(span)]
+        points.append(
+            tuple(b + sum(w * d[i] for w, d in zip(weights, directions)) for i, b in enumerate(base))
+        )
+    if len(set(points)) > 1 and rng.random() < 0.25:
+        points.append(rng.choice(points))
+    return sorted(points), dim
+
+
+class TestFacets:
+    def test_matches_lp_box_reference(self):
+        # The closed-form polar box against the LP-bounded one: both contain
+        # the polar strictly, so the facets are the same sorted tuple.
+        rng = random.Random(41)
+        lower, single, repeated = 0, 0, 0
+        for _ in range(420):
+            points, dim = _random_point_set(rng)
+            assert _facets(points, dim) == reference_facets(points, dim), (points, dim)
+            lower += affine_rank(points) < dim
+            single += len(points) == 1
+            repeated += len(set(points)) < len(points)
+        assert lower >= 100 and single >= 20 and repeated >= 20, (lower, single, repeated)
+
+    def test_polar_box_contains_polar_strictly(self):
+        # Each side of the closed-form box lies beyond the polar's exact
+        # extent along its axis, found by LP.
+        rng = random.Random(43)
+        checked = 0
+        while checked < 100:
+            points, dim = _random_point_set(rng)
+            if dim < 2 or affine_rank(points) < dim:
+                continue
+            centroid = [sum(v[i] for v in points) / len(points) for i in range(dim)]
+            rows = [[x - c for x, c in zip(v, centroid)] for v in points]
+            box_lo, box_hi = _polar_box(rows, dim)
+            for j in range(dim):
+                assert box_lo[j] < reference_polar_bound(j, rows, -1), (points, j)
+                assert box_hi[j] > reference_polar_bound(j, rows, 1), (points, j)
+            checked += 1
+
+    def test_solves_no_lp(self, monkeypatch):
+        tetrahedron = (rp(0, 0, 0), rp(0, 0, 1), rp(0, 1, 0), rp(1, 0, 0))
+        triangle_in_3d = (rp(0, 0, "1/2"), rp("1/3", 1, "1/2"), rp(1, 0, "1/2"))
+        cube = Polytope.cube(3).vertices
+        expected = [reference_facets(points, 3) for points in (tetrahedron, triangle_in_3d, cube)]
+
+        def refuse(*args):
+            raise AssertionError("facet enumeration solved an LP")
+
+        monkeypatch.setattr(simplex, "solve_standard", refuse)
+        assert [_facets(points, 3) for points in (tetrahedron, triangle_in_3d, cube)] == expected
+        assert [len(facets) for facets in expected] == [4, 5, 6]
+
+    def test_reverification_is_not_an_assert(self, monkeypatch):
+        # A wrong equality from the null space must be caught by a check that
+        # `python -O` keeps.
+        import coh.polytope as pt
+
+        monkeypatch.setattr(pt, "nullspace", lambda rows: [(ONE, ZERO)])
+        with pytest.raises(AssertionError, match="facets failed re-verification"):
+            _facets((rp(0, 0), rp(1, 1)), 2)
 
 
 class TestFacetDimensionCap:

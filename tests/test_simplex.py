@@ -7,7 +7,6 @@ from coh.simplex import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
-    bound_linear,
     feasible_point,
     maximize,
     solve_standard,
@@ -83,26 +82,6 @@ class TestFarkas:
         res = feasible_point(A, b)
         assert res.status == INFEASIBLE
         self.verify_certificate(A, b, res.farkas)
-
-
-class TestBoundLinear:
-    def test_box_of_triangle(self):
-        # y free, constraints: y1 + y2 <= 1, -y1 <= 0, -y2 <= 0.
-        A = [[1, 1], [-1, 0], [0, -1]]
-        b = [1, 0, 0]
-        hi = bound_linear([1, 0], A, b, "max")
-        lo = bound_linear([1, 0], A, b, "min")
-        assert (hi.status, hi.value) == (OPTIMAL, 1)
-        assert (lo.status, lo.value) == (OPTIMAL, 0)
-
-    def test_negative_coordinates(self):
-        # -1 <= y <= -1/3 expressed as inequalities.
-        A = [[1], [-1]]
-        b = [Rat(-1, 3), 1]
-        hi = bound_linear([1], A, b, "max")
-        lo = bound_linear([1], A, b, "min")
-        assert hi.value == Rat(-1, 3)
-        assert lo.value == -1
 
 
 def _random_entry(rng):

@@ -465,6 +465,69 @@ def reference_extension_interval(events, book, new_event):
 
 
 # ---------------------------------------------------------------------------
+# Reference facets: the polar-dual facet enumeration with the polar's
+# bounding box found by 2·rank exact LPs, which the library's closed-form
+# duality bound replaced.  The box contains the polar strictly either way,
+# so the facets must be equal.
+
+
+def reference_polar_bound(j, rows, sense):
+    """max (sense 1) or min (sense -1) of y_j over {y free : rows·y <= 1}:
+    y = y+ - y-, one slack per row, solved as a standard-form LP."""
+    from coh import simplex
+
+    zero, one = Rat(0), Rat(1)
+    m, d = len(rows), len(rows[0])
+    A = [
+        [Rat(v) for v in row] + [-Rat(v) for v in row] + [one if k == i else zero for k in range(m)]
+        for i, row in enumerate(rows)
+    ]
+    c = [zero] * (2 * d + m)
+    c[j], c[d + j] = Rat(-sense), Rat(sense)
+    res = simplex.solve_standard(c, A, [one] * m)
+    assert res.status == simplex.OPTIMAL
+    return -sense * res.value
+
+
+def reference_facets(vertices, dim):
+    """Sorted facet halfspaces of conv(vertices) in R^dim, equalities as
+    opposite pairs, each (a, b) jointly gcd-reduced."""
+    from coh.exact import nullspace, rref
+    from coh.polytope import _norm_halfspace
+
+    one = Rat(1)
+    if dim == 0:
+        return ()
+    if len(vertices) == 1:
+        return tuple(sorted(Polytope._box(dim, vertices[0], vertices[0]).halfspaces))
+    base = vertices[0]
+    reduced, pivots = rref([[x - y for x, y in zip(v, base)] for v in vertices[1:]])
+    rank = len(pivots)
+    basis = [tuple(reduced[r]) for r in range(rank)]
+    facets = []
+    for w in nullspace(basis):
+        a, b = _norm_halfspace(w, dot(w, base))
+        facets += [(a, b), _norm_halfspace([-x for x in a], -b)]
+    upoints = [tuple(dot(row, [x - y for x, y in zip(v, base)]) for row in basis) for v in vertices]
+    if rank == 1:
+        lo, hi = min(u[0] for u in upoints), max(u[0] for u in upoints)
+        inner = [((one,), hi), ((-one,), -lo)]
+    else:
+        centroid = tuple(sum(u[i] for u in upoints) / len(upoints) for i in range(rank))
+        rows = [[x - c for x, c in zip(u, centroid)] for u in upoints]
+        box_lo = [reference_polar_bound(j, rows, -1) - 1 for j in range(rank)]
+        box_hi = [reference_polar_bound(j, rows, 1) + 1 for j in range(rank)]
+        polar = Polytope._box(rank, box_lo, box_hi)
+        for row in rows:
+            polar = polar.cut(row, one)
+        inner = [(y, one + dot(y, centroid)) for y in polar.vertices]
+    for a_u, b_u in inner:
+        lifted = [dot([row[i] for row in basis], a_u) for i in range(dim)]
+        facets.append(_norm_halfspace(lifted, b_u + dot(lifted, base)))
+    return tuple(sorted(set(facets)))
+
+
+# ---------------------------------------------------------------------------
 # Reference parser: the recursive descent, one method per binding level, that
 # the library's precedence-climbing parser replaced.  It reads the library's
 # tokens and must give the same AST, or the same error at the same offset.
