@@ -51,8 +51,8 @@ from .fplogic import (
     verify_generality,
     verify_unifier,
 )
-from .polytope import MembershipCertificate, Polytope, convex_hull, membership
-from .pwl import AffineForm, PwlFunction, common_refinement, evaluate, is_tautology, mcnaughton, oneset
+from .polytope import MembershipCertificate, Polytope, membership
+from .pwl import AffineForm, PwlFunction, common_refinement, mcnaughton, oneset
 
 __all__ = [
     "AffineForm",
@@ -75,16 +75,13 @@ __all__ = [
     "check_book",
     "coherent_set",
     "common_refinement",
-    "convex_hull",
     "decide_consequence",
     "deduction_exponent",
-    "evaluate",
     "evaluate_formula",
     "extension_interval",
     "formula_depth",
     "free_vars",
     "is_probabilistic_substitution",
-    "is_tautology",
     "mcnaughton",
     "membership",
     "modal_atoms",

@@ -4,6 +4,12 @@ Everything downstream (polytopes, piecewise-linear functions, the simplex
 solver) computes over arbitrary-precision rationals.  gmpy2's ``mpq`` is used
 when available (it is an order of magnitude faster); ``fractions.Fraction``
 is a drop-in fallback.
+
+Integer input stays integer: `common_denominator`, `integerize` and the
+forward elimination behind `mat_rank` and `det` read a value's numerator
+and denominator and compute with ``int`` only, so they build no rational
+for a vector or matrix of ints.  The elimination is fraction-free
+(Bareiss): each row is first scaled to integers, which changes no rank.
 """
 
 from __future__ import annotations
@@ -82,24 +88,34 @@ def integerize(values: Sequence) -> tuple[int, ...]:
 
     The zero vector maps to itself.
     """
-    ints, _ = common_denominator([Rat(v) for v in values])
-    g = vec_content(ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+    ints, _ = common_denominator(values)
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
 
 
 # ---------------------------------------------------------------------------
 # Dense exact linear algebra (small systems only).
 
 
-def _echelon(rows: Sequence[Sequence]) -> tuple[list[list], int, int]:
-    """Forward Gaussian elimination over the rationals: (a row echelon form,
-    its rank, the sign of its row permutation).  The first `rank` rows hold
-    the pivots, leftmost column first."""
-    m = [[Rat(x) for x in row] for row in rows]
+def _echelon(rows: Sequence[Sequence]) -> tuple[int, int, int]:
+    """Fraction-free forward elimination (Bareiss, 1968) of the rows, each
+    first scaled to integers by its least common denominator: (rank, minor,
+    scale).  `scale` is the product of those denominators.  `minor` is the
+    last pivot with the sign of the row permutation, the determinant of the
+    scaled rows when they are square and of full rank.
+
+    After k pivots every entry below them is a (k+1)-minor of the scaled
+    rows (Sylvester's identity), so each division by the previous pivot is
+    exact, and an entry is zero exactly where rational elimination has a
+    zero: the pivots, and so the rank, are those over the rationals.
+    """
+    m, scale = [], 1
+    for row in rows:
+        ints, den = common_denominator(row)
+        m.append(ints)
+        scale *= den
     nrows, ncols = len(m), len(m[0]) if m else 0
-    rank, sign = 0, 1
+    rank, sign, prev = 0, 1, 1
     for col in range(ncols):
         if rank == nrows:
             break
@@ -109,19 +125,20 @@ def _echelon(rows: Sequence[Sequence]) -> tuple[list[list], int, int]:
         if pivot != rank:
             m[rank], m[pivot] = m[pivot], m[rank]
             sign = -sign
-        head = m[rank][col]
+        top = m[rank]
+        head = top[col]
         for r in range(rank + 1, nrows):
-            if m[r][col] != 0:
-                factor = m[r][col] / head
-                for c in range(col, ncols):
-                    m[r][c] -= factor * m[rank][c]
+            row = m[r]
+            f = row[col]
+            m[r] = [(head * x - f * y) // prev for x, y in zip(row, top)]
+        prev = head
         rank += 1
-    return m, rank, sign
+    return rank, sign * prev, scale
 
 
 def mat_rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a matrix of rationals/ints by elimination over the rationals."""
-    return _echelon(rows)[1]
+    """Rank of a matrix of rationals/ints, by fraction-free elimination."""
+    return _echelon(rows)[0]
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
@@ -169,10 +186,5 @@ def nullspace(rows: Sequence[Sequence]) -> list[tuple]:
 
 def det(rows: Sequence[Sequence]):
     """Exact determinant of a square rational matrix."""
-    m, rank, sign = _echelon(rows)
-    if rank < len(m):
-        return ZERO
-    result = Rat(sign)
-    for i in range(rank):
-        result *= m[i][i]
-    return result
+    rank, minor, scale = _echelon(rows)
+    return Rat(minor, scale) if rank == len(rows) else ZERO

@@ -134,7 +134,7 @@ def _verified_book(tctx: TranslationContext, region: Polytope, P, d, holds) -> t
     """The book P/d, once integer halfspace tests put it in the coherent set
     `region` and `holds` accepts the formulas' valuation there."""
     point = tuple(Rat(p, d) for p in P)
-    if not region.contains_homogeneous(P, d) or not holds(tctx.book_context().env(point)):
+    if not region.contains(point) or not holds(tctx.book_context().env(point)):
         raise AssertionError("certificate book failed re-verification")
     return point
 
@@ -349,8 +349,8 @@ def oneset_formula(poly: Polytope, ctx: VarContext | None = None) -> Formula:
         ctx = VarContext([f"x{i+1}" for i in range(poly.dim)])
     if ctx.arity != poly.dim:
         raise ValueError(f"context arity {ctx.arity} != polytope dimension {poly.dim}")
-    for v in poly.vertices:
-        if any(x < 0 or x > 1 for x in v):
+    for P, d in poly.pairs:
+        if any(p < 0 or p > d for p in P):
             raise ValueError("polytope must lie inside the unit cube")
     terms = []
     for a, b in sorted(poly.halfspaces):
@@ -424,11 +424,8 @@ def is_probabilistic_substitution(
     ev = events if isinstance(events, EventList) else EventList(events)
     source = coherent_set(ev).polytope
     table = _vertex_table([substitution.image_of(e) for e in ev.events])[3]
-    outside = [
-        tuple(Rat(v, d) for v in values)
-        for (_, d), values in table.items()
-        if not source.contains_homogeneous(values, d)
-    ]
+    images = [tuple(Rat(v, d) for v in values) for (_, d), values in table.items()]
+    outside = [image for image in images if not source.contains(image)]
     return (False, min(outside)) if outside else (True, None)
 
 

@@ -1,22 +1,26 @@
 """Exact rational convex polytopes in dual V/H representation.
 
-A polytope carries an irredundant, lexicographically sorted vertex list and,
-lazily, a halfspace list.  Halfspaces are pairs ``(a, b)`` of an integer
-normal and integer offset meaning ``a·x <= b``; the pair is gcd-reduced
-jointly (a rational facet such as x >= 1/2 forces the offset's denominator
-into the normal, so only the joint content can be normalized to 1).
+A polytope carries an irredundant vertex list and, lazily, a halfspace list.
+Each vertex v is held once, in the homogeneous form of MV-algebra theory:
+integers P and d = den(v) > 0 with v = P/d, so gcd(*P, d) = 1 and equal
+points are equal pairs.  The pairs are sorted in the lexicographic order
+of their rational values (`_sorted_pairs`); `vertices` rebuilds the
+rational tuples from them for the readers that need rationals (JSON,
+witnesses, LP inputs, facet enumeration and the volume oracle).
+
+Halfspaces are pairs ``(a, b)`` of an integer normal and integer offset
+meaning ``a·x <= b``; the pair is gcd-reduced jointly (a rational facet
+such as x >= 1/2 forces the offset's denominator into the normal, so only
+the joint content can be normalized to 1).
 Equality constraints of lower-dimensional polytopes appear as opposite
 inequality pairs.
 
 Vertex enumeration is the incremental double-description step: cut a start
 box by one halfspace at a time, generating candidate points on crossing
 segments and keeping exactly those whose tight constraints have full rank.
-The cut computes with integers only: each vertex is also held as an
-integer numerator tuple over a positive common denominator, reduced by gcd
-(`homogeneous`), and the sign tests, crossing points and tight tests are
-integer cross-multiplications; Rat tuples are built only for the result's
-vertices.  Containment tests on such points (`contains_homogeneous`) are
-integer too.
+The cut computes with integers only: the sign tests, crossing points and
+tight tests are integer cross-multiplications on the pairs, and so are the
+containment tests (`contains`, `includes`).
 Facet enumeration reduces to vertex enumeration of the polar dual inside the
 affine hull, cut from a box that bounds the polar in closed form by LP
 duality (`_polar_box`), so it solves no LP.  Both directions are exact, and
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import product as iter_product
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -49,6 +53,7 @@ from .exact import (
 from .record import Record
 
 Point = tuple
+Pair = tuple[tuple[int, ...], int]
 HalfSpace = tuple[tuple[int, ...], int]
 
 # Facet enumeration runs the double-description method, whose output can
@@ -65,42 +70,60 @@ class FacetDimensionError(DimensionError):
     """Facet enumeration requested beyond MAX_FACET_DIM."""
 
 
-def _as_point(values: Sequence) -> Point:
-    return tuple(Rat(v) for v in values)
-
-
 def _norm_halfspace(normal: Sequence, offset) -> HalfSpace:
-    joint = integerize(list(normal) + [offset])
+    joint = integerize((*normal, offset))
     return joint[:-1], joint[-1]
 
 
-def affine_rank(points: Sequence[Point]) -> int:
-    """Dimension of the affine hull of the points."""
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    return mat_rank([[x - y for x, y in zip(p, base)] for p in points[1:]])
+def _pair(point: Sequence) -> Pair:
+    """The reduced pair (P, d) of a rational point."""
+    P, d = common_denominator(point)
+    return tuple(P), d
+
+
+def _reduced(P: Sequence[int], d: int) -> Pair:
+    """The pair of the point P/d, for integers P and d > 0."""
+    g = gcd(*P, d)
+    return (tuple(p // g for p in P), d // g) if g > 1 else (tuple(P), d)
+
+
+def _sorted_pairs(pairs) -> tuple[Pair, ...]:
+    """Reduced pairs in the lexicographic order of their rational values.
+
+    Over L, the lcm of the denominators, P/d has the numerators P·(L/d);
+    all points then share one positive denominator, so comparing those
+    integer tuples compares the rational ones.
+    """
+    L = lcm(*[d for _, d in pairs])
+    return tuple(sorted(pairs, key=lambda pair: tuple(p * (L // pair[1]) for p in pair[0])))
+
+
+def _inside(halfspaces: Sequence[HalfSpace], P: Sequence[int], d: int) -> bool:
+    """Whether P/d (d > 0) satisfies every halfspace: a·P <= b·d."""
+    return all(sum(map(mul, a, P)) <= b * d for a, b in halfspaces)
 
 
 class Polytope:
-    """Immutable convex rational polytope; possibly lower-dimensional."""
+    """Immutable convex rational polytope; possibly lower-dimensional.
 
-    __slots__ = ("dim", "_vertices", "_halfspaces", "_homog")
+    `pairs` holds the vertices, each as its reduced pair (P, d) with P/d
+    the vertex and d > 0, distinct and in the order of their rational
+    values (the module docstring).  The constructor takes them as they are.
+    """
 
-    def __init__(self, dim: int, vertices: tuple[Point, ...], halfspaces=None):
+    __slots__ = ("dim", "pairs", "_halfspaces")
+
+    def __init__(self, dim: int, pairs: tuple[Pair, ...], halfspaces=None):
         self.dim = dim
-        self._vertices = vertices
+        self.pairs = pairs
         self._halfspaces: tuple[HalfSpace, ...] | None = halfspaces
-        # `homogeneous()`, computed on first use and handed on by `cut` to
-        # the polytope it returns.
-        self._homog: tuple[tuple[tuple[int, ...], int], ...] | None = None
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_vertices(cls, points: Iterable[Sequence]) -> "Polytope":
         """Convex hull: deduplicate, drop non-extreme points, sort."""
-        pts = [_as_point(p) for p in points]
+        pts = [tuple(p) for p in points]
         if not pts:
             raise ValueError("empty point list")
         dim = len(pts[0])
@@ -114,13 +137,17 @@ class Polytope:
             others = [q for q in keep if q != p]
             if _in_hull(p, others):
                 keep = others
-        return cls(dim, tuple(sorted(keep)))
+        return cls(dim, tuple(map(_pair, keep)))
 
     @classmethod
     def _box(cls, dim: int, lo: Sequence, hi: Sequence) -> "Polytope":
         if dim == 0:
-            return cls(0, ((),), ())
-        corners = tuple(sorted(set(iter_product(*[(Rat(a), Rat(b)) for a, b in zip(lo, hi)]))))
+            return cls(0, (((), 1),), ())
+        # Both bounds over one denominator L; the product of the sorted
+        # per-axis numerators is in lexicographic order.
+        ints, L = common_denominator((*lo, *hi))
+        axes = [sorted({ints[i], ints[dim + i]}) for i in range(dim)]
+        corners = tuple(_reduced(P, L) for P in iter_product(*axes))
         hs = []
         for i in range(dim):
             unit = [0] * dim
@@ -132,46 +159,40 @@ class Polytope:
     @classmethod
     @cache  # built once per dimension
     def cube(cls, dim: int) -> "Polytope":
-        return cls._box(dim, [ZERO] * dim, [ONE] * dim)
+        return cls._box(dim, [0] * dim, [1] * dim)
 
     # -- representations ----------------------------------------------------
 
     @property
     def vertices(self) -> tuple[Point, ...]:
-        return self._vertices
+        """The vertices as rational tuples, built from `pairs` on each call."""
+        return tuple(tuple(Rat(p, d) for p in P) for P, d in self.pairs)
 
     @property
     def halfspaces(self) -> tuple[HalfSpace, ...]:
         if self._halfspaces is None:
-            self._halfspaces = _facets(self._vertices, self.dim)
+            self._halfspaces = _facets(self.vertices, self.dim)
         return self._halfspaces
 
-    def homogeneous(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """The vertices as (integer numerators, positive denominator) pairs,
-        reduced by gcd, in vertex order."""
-        if self._homog is None:
-            self._homog = tuple(
-                (tuple(P), d) for P, d in map(common_denominator, self._vertices)
-            )
-        return self._homog
-
     def affine_dim(self) -> int:
-        return affine_rank(self._vertices)
+        """Dimension of the affine hull: the rank of the differences
+        P·d0 - P0·d, each (P/d - P0/d0) scaled by d·d0 > 0."""
+        (P0, d0), *rest = self.pairs
+        if not rest:
+            return 0
+        return mat_rank([[p * d0 - q * d for p, q in zip(P, P0)] for P, d in rest])
 
     def contains(self, point: Sequence) -> bool:
-        p = _as_point(point)
-        if len(p) != self.dim:
-            raise DimensionError(f"point dim {len(p)} != polytope dim {self.dim}")
-        return all(dot(a, p) <= b for a, b in self.halfspaces)
-
-    def contains_homogeneous(self, P: Sequence[int], d: int) -> bool:
-        """Whether P/d lies in the polytope, for integers P and d > 0: the
-        halfspace tests a·P <= b·d, in integers."""
-        return all(sum(map(mul, a, P)) <= b * d for a, b in self.halfspaces)
+        """Whether a rational point lies in the polytope, by integer
+        halfspace tests on its pair."""
+        if len(point) != self.dim:
+            raise DimensionError(f"point dim {len(point)} != polytope dim {self.dim}")
+        return _inside(self.halfspaces, *_pair(point))
 
     def includes(self, other: "Polytope") -> bool:
         """Whether every vertex of `other`, so all of it, lies in here."""
-        return all(self.contains_homogeneous(P, d) for P, d in other.homogeneous())
+        hs = self.halfspaces
+        return all(_inside(hs, P, d) for P, d in other.pairs)
 
     # -- core geometry ------------------------------------------------------
 
@@ -181,56 +202,46 @@ class Polytope:
         Candidate vertices from crossing segments are confirmed by the rank
         of their tight constraints, so the result is exact (and may drop a
         dimension or come back None when the intersection is empty).  All
-        tests run on the integer-homogeneous vertices: a·(P/d) <= b is
-        a·P <= b·d for d > 0.
+        tests run on the pairs: a·(P/d) <= b is a·P <= b·d for d > 0.
         """
         a, b = _norm_halfspace(normal, offset)
         if not any(a):
             return self if b >= 0 else None
-        homog = self.homogeneous()
-        signs = [sum(map(mul, a, P)) - b * d for P, d in homog]
+        pairs = self.pairs
+        signs = [sum(map(mul, a, P)) - b * d for P, d in pairs]
         if all(s <= 0 for s in signs):
             if 0 in signs and (a, b) not in self.halfspaces:
-                poly = Polytope(self.dim, self._vertices, self.halfspaces + ((a, b),))
-                poly._homog = homog
-                return poly
+                return Polytope(self.dim, pairs, self.halfspaces + ((a, b),))
             return self
-        # Result vertices, integer form -> Rat tuple: the kept ones first.
-        found = {h: v for h, v, s in zip(homog, self._vertices, signs) if s <= 0}
+        found = [pair for pair, s in zip(pairs, signs) if s <= 0]
         if not found:
             return None
         hs = self.halfspaces
         if (a, b) not in hs:
             hs = hs + ((a, b),)
-        candidates: set[tuple[tuple[int, ...], int]] = set()
-        for (P, dp), sp in zip(homog, signs):
+        candidates: set[Pair] = set()
+        for (P, dp), sp in zip(pairs, signs):
             if sp >= 0:
                 continue
-            for (Q, dq), sq in zip(homog, signs):
+            for (Q, dq), sq in zip(pairs, signs):
                 if sq <= 0:
                     continue
                 # The point of segment PQ on the hyperplane; dz > 0.
-                Z = [sq * x - sp * y for x, y in zip(P, Q)]
-                dz = sq * dp - sp * dq
-                g = gcd(*Z, dz)
-                if g > 1:
-                    Z = [z // g for z in Z]
-                    dz //= g
-                candidates.add((tuple(Z), dz))
+                candidates.add(_reduced([sq * x - sp * y for x, y in zip(P, Q)], sq * dp - sp * dq))
+        # A crossing point lies strictly inside a segment between vertices,
+        # so it is never one of the kept vertices.
         for Z, dz in candidates:
             tight = [n for n, c in hs if sum(map(mul, n, Z)) == c * dz]
             if len(tight) >= self.dim and mat_rank(tight) == self.dim:
-                found[Z, dz] = tuple(Rat(z, dz) for z in Z)
-        order = sorted(found, key=found.__getitem__)
+                found.append((Z, dz))
+        order = _sorted_pairs(found)
         # Constraints slack at every vertex are slack on the whole polytope;
         # dropping them keeps cut chains from accumulating dead halfspaces
         # (each vertex keeps its own tight set, so rank tests stay valid).
         kept = tuple(
             (n, c) for n, c in hs if any(sum(map(mul, n, P)) == c * d for P, d in order)
         )
-        poly = Polytope(self.dim, tuple(found[h] for h in order), kept)
-        poly._homog = tuple(order)
-        return poly
+        return Polytope(self.dim, order, kept)
 
     def intersect(self, other: "Polytope") -> "Polytope | None":
         if other.dim != self.dim:
@@ -246,13 +257,13 @@ class Polytope:
         """Exact volume; 0 for lower-dimensional polytopes."""
         if self.dim == 0:
             return ONE
-        if affine_rank(self._vertices) < self.dim:
+        if self.affine_dim() < self.dim:
             return ZERO
         total = ZERO
         factorial = 1
         for k in range(2, self.dim + 1):
             factorial *= k
-        for simplex_pts in _triangulate(list(self._vertices), self.dim):
+        for simplex_pts in _triangulate(self):
             base = simplex_pts[0]
             rows = [[x - y for x, y in zip(p, base)] for p in simplex_pts[1:]]
             total += abs(det(rows))
@@ -264,20 +275,20 @@ class Polytope:
         return (
             isinstance(other, Polytope)
             and self.dim == other.dim
-            and self._vertices == other._vertices
+            and self.pairs == other.pairs
         )
 
     def __hash__(self) -> int:
-        return hash((self.dim, self._vertices))
+        return hash((self.dim, self.pairs))
 
     def __repr__(self) -> str:
-        pts = ", ".join("(" + ", ".join(rat_str(x) for x in v) + ")" for v in self._vertices)
+        pts = ", ".join("(" + ", ".join(rat_str(x) for x in v) + ")" for v in self.vertices)
         return f"Polytope[{pts}]"
 
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,
-            "vertices": [[rat_str(x) for x in v] for v in self._vertices],
+            "vertices": [[rat_str(x) for x in v] for v in self.vertices],
             "halfspaces": [
                 {"normal": [int(x) for x in a], "offset": int(b)} for a, b in self.halfspaces
             ],
@@ -300,11 +311,6 @@ def weights_system(points: Sequence[Point], target: Sequence):
 def _in_hull(point: Point, points: Sequence[Point]) -> bool:
     A, b = weights_system(points, point)
     return simplex.feasible_point(A, b).status == simplex.OPTIMAL
-
-
-def convex_hull(points: Iterable[Sequence]) -> Polytope:
-    """Irredundant V-representation of the convex hull."""
-    return Polytope.from_vertices(points)
 
 
 class MembershipCertificate(Record):
@@ -372,7 +378,7 @@ def membership(point: Sequence, poly: Polytope) -> MembershipCertificate:
     One chain of LPs decides it: the lexicographic weight slices, the first
     of which doubles as the feasibility test.
     """
-    p = _as_point(point)
+    p = tuple(point)
     if len(p) != poly.dim:
         raise DimensionError(f"point dim {len(p)} != polytope dim {poly.dim}")
     verts = poly.vertices
@@ -406,15 +412,13 @@ def _facets(vertices: tuple[Point, ...], dim: int) -> tuple[HalfSpace, ...]:
         )
     if dim == 0:
         return ()
-    if len(vertices) == 1:
-        v = vertices[0]
-        return tuple(sorted(Polytope._box(dim, v, v).halfspaces))
-    facets: list[HalfSpace] = []
-
     base = vertices[0]
     diffs = [[x - y for x, y in zip(v, base)] for v in vertices[1:]]
     reduced, pivots = rref(diffs)
     rank = len(pivots)
+    if rank == 0:  # one point, however often it is listed
+        return tuple(sorted(Polytope._box(dim, base, base).halfspaces))
+    facets: list[HalfSpace] = []
     basis = [tuple(reduced[r]) for r in range(rank)]
 
     # Equalities: every vector orthogonal to the hull's direction space.
@@ -486,19 +490,22 @@ def _polar_box(rows: list[list], rank: int) -> tuple[list, list]:
 # Exact triangulation for volumes.
 
 
-def _triangulate(vertices: list[Point], ambient: int) -> list[list[Point]]:
-    rank = affine_rank(vertices)
-    if len(vertices) == rank + 1:
-        return [vertices]
-    poly = Polytope(ambient, tuple(sorted(vertices)))
+def _triangulate(poly: Polytope) -> list[list[Point]]:
+    """Simplices, as rational vertex lists, that triangulate the polytope
+    within its affine hull: the polytope itself when it is a simplex, else
+    the cones from its first vertex over the facets that miss it."""
+    verts = poly.vertices
+    rank = poly.affine_dim()
+    if len(verts) == rank + 1:
+        return [list(verts)]
+    apex = verts[0]
     simplices: list[list[Point]] = []
-    apex = poly.vertices[0]
     for a, b in poly.halfspaces:
         if dot(a, apex) == b:
             continue
-        face_verts = [v for v in poly.vertices if dot(a, v) == b]
-        if affine_rank(face_verts) != rank - 1:
+        face = Polytope(poly.dim, tuple(p for p, v in zip(poly.pairs, verts) if dot(a, v) == b))
+        if face.affine_dim() != rank - 1:
             continue
-        for sub in _triangulate(face_verts, ambient):
+        for sub in _triangulate(face):
             simplices.append(sub + [apex])
     return simplices

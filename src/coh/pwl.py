@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from operator import mul
 
-from .exact import Rat, dot
 from .formula import (
     And,
     Bot,
@@ -64,9 +63,6 @@ class AffineForm(Frozen):
 
     def __hash__(self) -> int:
         return hash((self.const, self.coeffs))
-
-    def value(self, point) -> Rat:
-        return self.const + dot(self.coeffs, point)
 
     def __add__(self, other: "AffineForm") -> "AffineForm":
         return AffineForm(
@@ -132,7 +128,7 @@ def _sides(cell: Polytope, normal, offset) -> tuple[Polytope | None, Polytope | 
     form normal·x - offset vanishes on it) and the other part is None.
     Either way both parts have the cell's dimension.
     """
-    vals = [sum(map(mul, normal, P)) - offset * d for P, d in cell.homogeneous()]
+    vals = [sum(map(mul, normal, P)) - offset * d for P, d in cell.pairs]
     if all(v <= 0 for v in vals):
         return cell, None
     if all(v >= 0 for v in vals):
@@ -243,31 +239,16 @@ def mcnaughton(formula: Formula, ctx: VarContext) -> PwlFunction:
 def vertex_values(
     cells: list[Polytope], forms: list[tuple[AffineForm, ...]]
 ) -> dict[tuple[tuple[int, ...], int], tuple[int, ...]]:
-    """Every distinct vertex of the cells, as (P, d) (`Polytope.homogeneous`),
+    """Every distinct vertex of the cells, as its pair (P, d) (`Polytope.pairs`),
     mapped to the integers d·f(P/d) for the forms f of a cell that has it;
     the forms of a complex agree where cells meet."""
     table: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
     for cell, cell_forms in zip(cells, forms):
-        for vertex in cell.homogeneous():
+        for vertex in cell.pairs:
             if vertex not in table:
                 P, d = vertex
                 table[vertex] = tuple(f.const * d + sum(map(mul, f.coeffs, P)) for f in cell_forms)
     return table
-
-
-def evaluate(func: PwlFunction, point) -> Rat:
-    """Evaluate by locating a cell containing the point."""
-    p = tuple(Rat(v) for v in point)
-    if len(p) != func.arity:
-        raise ValueError(f"point arity {len(p)} != function arity {func.arity}")
-    if any(x < 0 or x > 1 for x in p):
-        raise ValueError("point outside the unit cube")
-    if func.arity == 0:
-        return Rat(func.cells[0].form.const)
-    for cell in func.cells:
-        if cell.polytope.contains(p):
-            return cell.form.value(p)
-    raise AssertionError(f"complex does not cover point {p}")  # pragma: no cover
 
 
 def oneset_piece(cell: LinearCell) -> Polytope | None:
@@ -289,7 +270,7 @@ def oneset(func: PwlFunction) -> list[Polytope]:
         for j, other in enumerate(pieces):
             if i == j:
                 continue
-            if piece.vertices == other.vertices:
+            if piece.pairs == other.pairs:
                 absorbed = i > j
             elif other.includes(piece):
                 absorbed = True
@@ -346,15 +327,3 @@ def common_refinement(
     forms = [[f[i] for i in range(len(funcs))] for _, f in work]
     return cells, forms
 
-
-def is_tautology(func: PwlFunction) -> bool:
-    """True when the function is constantly 1 (checked at all cell vertices)."""
-    return function_range(func)[0] == 1
-
-
-def function_range(func: PwlFunction) -> tuple[Rat, Rat]:
-    """Exact (min, max) over the cube, from cell vertices (`vertex_values`)."""
-    cells = [cell.polytope for cell in func.cells]
-    table = vertex_values(cells, [(cell.form,) for cell in func.cells])
-    values = [Rat(v, d) for (_, d), (v,) in table.items()]
-    return min(values), max(values)

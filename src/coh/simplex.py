@@ -127,7 +127,7 @@ def solve_standard(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
     S: list[int] = []
     flipped = [False] * m
     for i in range(m):
-        ints, den = common_denominator([Rat(v) for v in A[i]] + [Rat(b[i])])
+        ints, den = common_denominator([*A[i], b[i]])
         if ints[-1] < 0:
             ints = [-v for v in ints]
             flipped[i] = True
@@ -177,7 +177,7 @@ def solve_standard(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
         T2.append([v // g for v in row] if g > 1 else row)
         S2.append(S[r] // g)
     basis2 = [basis[r] for r in keep]
-    obj, obj_den = common_denominator([Rat(v) for v in c] + [ZERO])
+    obj, obj_den = common_denominator([*c, 0])
     for r, line in enumerate(T2):
         col = basis2[r]
         if obj[col] != 0:
@@ -201,7 +201,7 @@ def feasible_point(A: Sequence[Sequence], b: Sequence) -> LPResult:
 
 
 def maximize(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
-    res = solve_standard([-Rat(v) for v in c], A, b)
+    res = solve_standard([-v for v in c], A, b)
     if res.status == OPTIMAL:
         res.value = -res.value
     return res

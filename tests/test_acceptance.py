@@ -35,7 +35,7 @@ from coh.fplogic import (
     verify_oneset,
     verify_unifier,
 )
-from coh.polytope import convex_hull, membership
+from coh.polytope import Polytope, membership
 
 from util import farey, project, random_event, random_event_list, random_modal
 
@@ -51,7 +51,7 @@ def report(number, description):
 def test_c01_two_event_example():
     start = time.perf_counter()
     cs = coherent_set(["x | y", "x + y"])
-    expected = convex_hull([rp(0, 0), rp(1, 1), rp("1/2", 1)])
+    expected = Polytope.from_vertices([rp(0, 0), rp(1, 1), rp("1/2", 1)])
     assert cs.polytope == expected
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -66,9 +66,9 @@ def test_c02_three_event_example_and_projections():
     # valuation (1/2,1/2) is (1, 0, 1/2): strong conjunction vanishes there
     # while min is 1/2.  (Quoting the same polytope with the last two events
     # swapped gives the tuple (1, 1/2, 0).)
-    assert cs.polytope == convex_hull([rp(0, 0, 0), rp(1, 0, 0), rp(1, 1, 1), rp(1, 0, "1/2")])
+    assert cs.polytope == Polytope.from_vertices([rp(0, 0, 0), rp(1, 0, 0), rp(1, 1, 1), rp(1, 0, "1/2")])
     swapped = coherent_set(["x + y", "x & y", "x * y"])
-    assert swapped.polytope == convex_hull(
+    assert swapped.polytope == Polytope.from_vertices(
         [rp(0, 0, 0), rp(1, 0, 0), rp(1, 1, 1), rp(1, "1/2", 0)]
     )
     # Each 2-coordinate projection equals the coherent set of the pair,

@@ -16,7 +16,7 @@ from coh.coherence import (
 )
 from coh.exact import ONE, Rat, ZERO, dot, vec_content
 from coh.formula import ParseError, parse_event, parse_modal
-from coh.polytope import MembershipCertificate, convex_hull, membership
+from coh.polytope import MembershipCertificate, Polytope, membership
 
 from util import eval_at, project, random_event, random_event_list, reference_extension_interval
 
@@ -28,11 +28,11 @@ def rp(*vals):
 class TestCoherentSet:
     def test_two_event_triangle(self):
         cs = coherent_set(["x | y", "x + y"])
-        assert cs.polytope == convex_hull([rp(0, 0), rp(1, 1), rp("1/2", 1)])
+        assert cs.polytope == Polytope.from_vertices([rp(0, 0), rp(1, 1), rp("1/2", 1)])
 
     def test_three_event_tetrahedron(self):
         cs = coherent_set(["x + y", "x * y", "x & y"])
-        assert cs.polytope == convex_hull(
+        assert cs.polytope == Polytope.from_vertices(
             [rp(0, 0, 0), rp(1, 0, 0), rp(1, 1, 1), rp(1, 0, "1/2")]
         )
 

@@ -36,11 +36,13 @@ from coh.fplogic import (
     verify_oneset,
     verify_unifier,
 )
-from coh.polytope import Polytope, convex_hull, membership
+from coh.polytope import Polytope, membership
 from coh.pwl import mcnaughton, oneset
 
 from util import (
     farey,
+    form_at,
+    is_constantly_one,
     random_event,
     random_event_list,
     random_modal,
@@ -205,7 +207,7 @@ def _decide_by_oneset_inclusion(phi_text: str, psi_text: str) -> bool:
             if region is None:
                 continue
             for v in region.vertices:
-                if cell.form.value(v) != 1:
+                if form_at(cell.form, v) != 1:
                     return False
     return True
 
@@ -250,8 +252,6 @@ class TestAxiomSuite:
         assert prove("P(0) <-> 0").holds
 
     def test_necessitation_for_tautologies(self):
-        from coh.pwl import is_tautology
-
         rng = random.Random(17)
         candidates = ["x -> x", "x | ~x | y", "(x * y) -> x", "1"]
         candidates += [random_event(rng, ["x", "y"], 3) for _ in range(20)]
@@ -261,7 +261,7 @@ class TestAxiomSuite:
             ctx = VarContext().extended(event)
             if ctx.arity == 0:
                 continue
-            if is_tautology(mcnaughton(event, ctx)):
+            if is_constantly_one(mcnaughton(event, ctx)):
                 assert prove(f"P({text}) <-> 1").holds
                 checked += 1
         assert checked >= 3
@@ -269,7 +269,7 @@ class TestAxiomSuite:
 
 class TestOnesetFormula:
     def test_half_interval(self):
-        poly = convex_hull([rp("1/2"), rp(1)])
+        poly = Polytope.from_vertices([rp("1/2"), rp(1)])
         chi = oneset_formula(poly)
         ctx = VarContext(["x1"])
         pieces = oneset(mcnaughton(chi, ctx))
@@ -283,27 +283,25 @@ class TestOnesetFormula:
         for dim in (1, 2, 3):
             chi = oneset_formula(Polytope.cube(dim))
             ctx = VarContext([f"x{i+1}" for i in range(dim)])
-            from coh.pwl import is_tautology
-
-            assert is_tautology(mcnaughton(chi, ctx))
+            assert is_constantly_one(mcnaughton(chi, ctx))
 
     def test_triangle_roundtrip(self):
-        poly = convex_hull([rp(0, 0), rp(1, 1), rp("1/2", 1)])
+        poly = Polytope.from_vertices([rp(0, 0), rp(1, 1), rp("1/2", 1)])
         chi = oneset_formula(poly)
         ctx = VarContext(["x1", "x2"])
         assert verify_oneset(chi, poly, ctx)
 
     def test_lower_dimensional_targets(self):
-        segment = convex_hull([rp(0, "1/2"), rp(1, "1/2")])
+        segment = Polytope.from_vertices([rp(0, "1/2"), rp(1, "1/2")])
         chi = oneset_formula(segment)
         assert verify_oneset(chi, segment, VarContext(["x1", "x2"]))
-        point = convex_hull([rp("1/3", "2/3")])
+        point = Polytope.from_vertices([rp("1/3", "2/3")])
         chi2 = oneset_formula(point)
         assert verify_oneset(chi2, point, VarContext(["x1", "x2"]))
 
     def test_outside_cube_rejected(self):
         with pytest.raises(ValueError, match="unit cube"):
-            oneset_formula(convex_hull([rp(0), rp(2)]))
+            oneset_formula(Polytope.from_vertices([rp(0), rp(2)]))
 
     def test_random_coherent_sets_roundtrip(self):
         from util import random_event_list
@@ -316,7 +314,7 @@ class TestOnesetFormula:
             assert verify_oneset(chi, cs.polytope, ctx)
 
     def test_determinism(self):
-        poly = convex_hull([rp(0, 0), rp(1, 1), rp("1/2", 1)])
+        poly = Polytope.from_vertices([rp(0, 0), rp(1, 1), rp("1/2", 1)])
         assert canonical_serialize(oneset_formula(poly)) == canonical_serialize(
             oneset_formula(poly)
         )
@@ -467,9 +465,9 @@ class TestVertexVerdicts:
             chi = oneset_formula(poly, ctx)
             verts = poly.vertices
             centroid = tuple(sum(v[i] for v in verts) / len(verts) for i in range(poly.dim))
-            shrunk = convex_hull([tuple((x + c) / 2 for x, c in zip(v, centroid)) for v in verts])
+            shrunk = Polytope.from_vertices([tuple((x + c) / 2 for x, c in zip(v, centroid)) for v in verts])
             corners = [c for c in itertools.product((ZERO, ONE), repeat=poly.dim) if not poly.contains(c)]
-            grown = convex_hull(list(verts) + corners[:1])
+            grown = Polytope.from_vertices(list(verts) + corners[:1])
             for target in (poly, shrunk, grown):
                 expected = target == poly
                 assert reference_verify_oneset(chi, target, ctx) == expected

@@ -1,19 +1,18 @@
 """Polytope kernel: hulls, membership certificates, projected hulls, volume."""
 
 import itertools
+import math
 import random
 
 import pytest
 
 from coh import simplex
-from coh.exact import ONE, Rat, ZERO, dot, vec_content
+from coh.exact import ONE, Rat, ZERO, dot, mat_rank, vec_content
 from coh.polytope import (
     DimensionError,
     Polytope,
     _facets,
     _polar_box,
-    affine_rank,
-    convex_hull,
     membership,
 )
 from coh.simplex import solve_standard
@@ -37,23 +36,23 @@ class TestConvexHull:
         # (3/4, 1) lies on the edge (1/2,1)-(1,1); the brute-force oracle
         # agrees it is redundant.
         pts = [rp(0, 0), rp(1, 1), rp("1/2", 1), rp("3/4", 1)]
-        hull = convex_hull(pts)
+        hull = Polytope.from_vertices(pts)
         assert hull.vertices == (rp(0, 0), rp("1/2", 1), rp(1, 1))
         assert in_hull_bruteforce(rp("3/4", 1), hull.vertices)
 
     def test_single_point(self):
-        hull = convex_hull([rp("1/3", "2/3")])
+        hull = Polytope.from_vertices([rp("1/3", "2/3")])
         assert hull.vertices == (rp("1/3", "2/3"),)
 
     def test_boolean_square(self):
-        hull = convex_hull([rp(0, 0), rp(0, 1), rp(1, 0), rp(1, 1)])
+        hull = Polytope.from_vertices([rp(0, 0), rp(0, 1), rp(1, 0), rp(1, 1)])
         assert hull == Polytope.cube(2)
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            convex_hull([])
+            Polytope.from_vertices([])
         with pytest.raises(DimensionError):
-            convex_hull([rp(0, 0), rp(1,)])
+            Polytope.from_vertices([rp(0, 0), rp(1,)])
 
     def test_hull_idempotent(self):
         rng = random.Random(5)
@@ -62,8 +61,8 @@ class TestConvexHull:
                 rp(Rat(rng.randint(0, 6), 6), Rat(rng.randint(0, 6), 6), Rat(rng.randint(0, 6), 6))
                 for _ in range(rng.randint(1, 8))
             ]
-            hull = convex_hull(pts)
-            assert convex_hull(hull.vertices) == hull
+            hull = Polytope.from_vertices(pts)
+            assert Polytope.from_vertices(hull.vertices) == hull
 
 
 class TestMembership:
@@ -76,14 +75,14 @@ class TestMembership:
         assert cert.weights == (ZERO, Rat(1, 2), Rat(1, 2), ZERO)
 
     def test_outside_triangle_separator(self):
-        tri = convex_hull([rp(0, 0), rp(1, 1), rp("1/2", 1)])
+        tri = Polytope.from_vertices([rp(0, 0), rp(1, 1), rp("1/2", 1)])
         cert = membership(rp(1, 0), tri)
         assert not cert.inside
         normal, threshold, margin = cert.separator
         assert (normal, threshold, margin) == ((1, -1), ZERO, ONE)
 
     def test_outside_interval(self):
-        seg = convex_hull([rp("1/2"), rp(1)])
+        seg = Polytope.from_vertices([rp("1/2"), rp(1)])
         cert = membership(rp("1/4"), seg)
         assert not cert.inside
         normal, threshold, margin = cert.separator
@@ -99,7 +98,7 @@ class TestMembership:
                 tuple(Rat(rng.randint(0, 4), 4) for _ in range(dim))
                 for _ in range(rng.randint(1, 6))
             ]
-            hull = convex_hull(pts)
+            hull = Polytope.from_vertices(pts)
             query = tuple(Rat(rng.randint(0, 8), 8) for _ in range(dim))
             cert = membership(query, hull)
             if cert.inside:
@@ -118,8 +117,11 @@ class TestMembership:
                 assert not in_hull_bruteforce(query, hull.vertices)
 
     def test_dimension_mismatch(self):
+        segment = Polytope.from_vertices([rp(0), rp(1)])
         with pytest.raises(DimensionError):
-            membership(rp(0, 0), convex_hull([rp(0), rp(1)]))
+            membership(rp(0, 0), segment)
+        with pytest.raises(DimensionError):
+            segment.contains(rp(0, 0))
 
     def test_one_lp_chain(self, monkeypatch):
         # n slices for an inside point over n vertices; the first slice alone
@@ -148,7 +150,7 @@ class TestMembership:
                 tuple(Rat(rng.randint(0, 4), 4) for _ in range(dim))
                 for _ in range(rng.randint(1, 6))
             ]
-            hull = convex_hull(pts)
+            hull = Polytope.from_vertices(pts)
             query = tuple(Rat(rng.randint(0, 8), 8) for _ in range(dim))
             cert = membership(query, hull)
             assert cert == reference_membership(query, hull)
@@ -158,11 +160,11 @@ class TestMembership:
 
 class TestProjection:
     def test_tetrahedron_face(self):
-        poly = convex_hull([rp(0, 0, 0), rp(1, 0, 0), rp(1, 1, 1), rp(1, "1/2", 0)])
-        assert project(poly, [0, 2]) == convex_hull([rp(0, 0), rp(1, 0), rp(1, 1)])
+        poly = Polytope.from_vertices([rp(0, 0, 0), rp(1, 0, 0), rp(1, 1, 1), rp(1, "1/2", 0)])
+        assert project(poly, [0, 2]) == Polytope.from_vertices([rp(0, 0), rp(1, 0), rp(1, 1)])
 
     def test_identity_projection(self):
-        poly = convex_hull([rp(0, 0), rp(1, 0), rp("1/2", "1/2")])
+        poly = Polytope.from_vertices([rp(0, 0), rp(1, 0), rp("1/2", "1/2")])
         assert project(poly, [0, 1]) == poly
 
     def test_projection_contains_projected_vertices(self):
@@ -172,7 +174,7 @@ class TestProjection:
                 tuple(Rat(rng.randint(0, 3), 3) for _ in range(3))
                 for _ in range(rng.randint(2, 7))
             ]
-            hull = convex_hull(pts)
+            hull = Polytope.from_vertices(pts)
             proj = project(hull, [0, 2])
             for v in hull.vertices:
                 assert proj.contains((v[0], v[2]))
@@ -184,7 +186,7 @@ class TestProjection:
                 tuple(Rat(rng.randint(0, 4), 4) for _ in range(3))
                 for _ in range(rng.randint(2, 6))
             ]
-            hull = convex_hull(pts)
+            hull = Polytope.from_vertices(pts)
             assert project(project(hull, [0, 1]), [1]) == project(hull, [1])
 
 
@@ -197,7 +199,7 @@ class TestHalfspaces:
                 tuple(Rat(rng.randint(0, 4), 4) for _ in range(dim))
                 for _ in range(rng.randint(1, 7))
             ]
-            hull = convex_hull(pts)
+            hull = Polytope.from_vertices(pts)
             for a, b in hull.halfspaces:
                 vals = [dot(a, v) for v in hull.vertices]
                 assert all(v <= b for v in vals)
@@ -206,7 +208,7 @@ class TestHalfspaces:
 
     def test_lower_dimensional_equalities(self):
         # A segment inside the square gets its carrier line as equalities.
-        seg = convex_hull([rp(0, "1/2"), rp(1, "1/2")])
+        seg = Polytope.from_vertices([rp(0, "1/2"), rp(1, "1/2")])
         assert seg.contains(rp("1/3", "1/2"))
         assert not seg.contains(rp("1/3", "1/4"))
 
@@ -276,6 +278,11 @@ class TestVertexEnumeration:
         assert {3, 7} <= denominators and dropped >= 5, (denominators, dropped)
 
 
+def _affine_rank(points):
+    """Dimension of the affine hull of rational points."""
+    return mat_rank([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
+
+
 def _random_point_set(rng):
     """(points, dim): a sorted point list in dims 1-4, spanning an affine
     subspace of random dimension, with coordinates of denominator <= 8; some
@@ -304,7 +311,7 @@ class TestFacets:
         for _ in range(420):
             points, dim = _random_point_set(rng)
             assert _facets(points, dim) == reference_facets(points, dim), (points, dim)
-            lower += affine_rank(points) < dim
+            lower += _affine_rank(points) < dim
             single += len(points) == 1
             repeated += len(set(points)) < len(points)
         assert lower >= 100 and single >= 20 and repeated >= 20, (lower, single, repeated)
@@ -316,7 +323,7 @@ class TestFacets:
         checked = 0
         while checked < 100:
             points, dim = _random_point_set(rng)
-            if dim < 2 or affine_rank(points) < dim:
+            if dim < 2 or _affine_rank(points) < dim:
                 continue
             centroid = [sum(v[i] for v in points) / len(points) for i in range(dim)]
             rows = [[x - c for x, c in zip(v, centroid)] for v in points]
@@ -339,6 +346,14 @@ class TestFacets:
         assert [_facets(points, 3) for points in (tetrahedron, triangle_in_3d, cube)] == expected
         assert [len(facets) for facets in expected] == [4, 5, 6]
 
+    def test_repeated_point_is_one_point(self):
+        # Rank 0, not a vertex count of 1, marks a one-point polytope: the
+        # same point listed twice must not lose its equalities.
+        p = rp("1/2", "1/3")
+        box = (((-2, 0), -1), ((0, -3), -1), ((0, 3), 1), ((2, 0), 1))
+        assert _facets((p,), 2) == _facets((p, p), 2) == _facets((p, p, p), 2) == box
+        assert not Polytope(2, (((3, 2), 6),) * 2).contains((ZERO, ZERO))
+
     def test_reverification_is_not_an_assert(self, monkeypatch):
         # A wrong equality from the null space must be caught by a check that
         # `python -O` keeps.
@@ -349,13 +364,68 @@ class TestFacets:
             _facets((rp(0, 0), rp(1, 1)), 2)
 
 
+def _random_polytopes(rng):
+    """Polytopes in dims 0-4 from the three constructors: cut chains of
+    the cube (some cuts with normals of 3 or 7, some pairs of opposite cuts
+    dropping a dimension), hulls of rational point lists with repeats and
+    non-extreme points, and boxes with rational, sometimes equal, bounds."""
+    out = []
+    for dim in range(5):
+        for _ in range(12):
+            poly = Polytope.cube(dim)
+            for _ in range(rng.randint(1, 4)):
+                normal = [rng.choice([-7, -3, -2, -1, 0, 1, 2, 3, 7]) for _ in range(dim)]
+                offset = Rat(rng.randint(-2, 6), rng.randint(1, 4))
+                cut = poly.cut(normal, offset)
+                if cut is not None and rng.random() < 0.2:
+                    cut = cut.cut([-a for a in normal], -offset)
+                if cut is None:
+                    break
+                poly = cut
+            out.append(poly)
+        for _ in range(6):
+            points = [
+                tuple(Rat(rng.randint(0, 6), rng.randint(1, 6)) for _ in range(dim))
+                for _ in range(rng.randint(1, 6))
+            ]
+            out.append(Polytope.from_vertices(points + points[:1]))
+        for _ in range(6):
+            lo = [Rat(rng.randint(0, 4), rng.randint(1, 5)) for _ in range(dim)]
+            hi = [x if rng.random() < 0.3 else x + Rat(rng.randint(1, 4), rng.randint(1, 5)) for x in lo]
+            out.append(Polytope._box(dim, lo, hi))
+    return out
+
+
+class TestPairs:
+    def test_representation_invariant(self):
+        # One vertex field: reduced pairs, distinct, sorted as their values;
+        # `vertices` is their rational image and equality is vertex equality.
+        polys = _random_polytopes(random.Random(61))
+        for poly in polys:
+            assert poly.pairs and all(len(P) == poly.dim for P, _ in poly.pairs)
+            assert all(d > 0 and math.gcd(*P, d) == 1 for P, d in poly.pairs), poly.pairs
+            values = [tuple(Rat(p, d) for p in P) for P, d in poly.pairs]
+            assert all(a < b for a, b in zip(values, values[1:])), poly.pairs
+            assert poly.vertices == tuple(values)
+        for a, b in itertools.combinations(polys, 2):
+            same = a.dim == b.dim and a.vertices == b.vertices
+            assert (a == b) is same
+            if same:
+                assert hash(a) == hash(b)
+        rebuilt = [Polytope.from_vertices(poly.vertices) for poly in polys]
+        assert rebuilt == polys
+        assert [hash(p) for p in rebuilt] == [hash(p) for p in polys]
+        assert {poly.affine_dim() for poly in polys} == {0, 1, 2, 3, 4}
+        assert len({d for poly in polys for _, d in poly.pairs}) >= 10
+
+
 class TestFacetDimensionCap:
     def test_beyond_cap_refused(self, monkeypatch):
         import coh.polytope as pt
 
         monkeypatch.setattr(pt, "MAX_FACET_DIM", 6)
-        booleans = [tuple(Rat((i >> j) & 1) for j in range(7)) for i in range(2**7)]
-        poly = Polytope(7, tuple(sorted(booleans)))
+        booleans = sorted(tuple((i >> j) & 1 for j in range(7)) for i in range(2**7))
+        poly = Polytope(7, tuple((b, 1) for b in booleans))
         with pytest.raises(pt.FacetDimensionError, match="capped"):
             poly.halfspaces
 
@@ -365,11 +435,11 @@ class TestVolume:
         assert Polytope.cube(3).volume() == 1
 
     def test_simplex(self):
-        tri = convex_hull([rp(0, 0), rp(1, 0), rp(0, 1)])
+        tri = Polytope.from_vertices([rp(0, 0), rp(1, 0), rp(0, 1)])
         assert tri.volume() == Rat(1, 2)
 
     def test_lower_dim_is_zero(self):
-        seg = convex_hull([rp(0, 0), rp(1, 1)])
+        seg = Polytope.from_vertices([rp(0, 0), rp(1, 1)])
         assert seg.volume() == 0
 
     def test_cut_splits_volume(self):

@@ -25,20 +25,26 @@ from coh.formula import (
     postorder,
 )
 from coh.fplogic import ConsequenceResult, oneset_formula
-from coh.polytope import MembershipCertificate, Polytope, convex_hull
+from coh.polytope import MembershipCertificate, Polytope
 from coh.pwl import (
     AffineForm,
     LinearCell,
     common_refinement,
-    evaluate,
-    function_range,
-    is_tautology,
     mcnaughton,
     oneset,
 )
 from coh.simplex import LPResult
 
-from util import eval_at, farey, grid_points, random_event, reference_mcnaughton
+from util import (
+    eval_at,
+    farey,
+    form_at,
+    is_constantly_one,
+    random_event,
+    reference_mcnaughton,
+    values_at,
+    vertex_table,
+)
 
 
 def rp(*vals):
@@ -57,8 +63,8 @@ def refinement_vertices(cells):
 class TestMcnaughton:
     def test_disjunction_vs_oplus_at_center(self):
         point = rp("1/2", "1/2")
-        assert evaluate(build("x | y", "xy"), point) == Rat(1, 2)
-        assert evaluate(build("x + y", "xy"), point) == 1
+        assert values_at(build("x | y", "xy"), point) == {Rat(1, 2)}
+        assert values_at(build("x + y", "xy"), point) == {1}
 
     def test_top_single_cell(self):
         f = build("1", "x")
@@ -66,35 +72,25 @@ class TestMcnaughton:
         assert f.cells[0].form == AffineForm(1, (0,))
 
     def test_power_times_example(self):
-        assert evaluate(build("(x + x) * x", "x"), rp("3/10")) == 0
+        assert values_at(build("(x + x) * x", "x"), rp("3/10")) == {0}
 
     def test_unknown_variable(self):
         with pytest.raises(ValueError, match="unknown variable"):
             build("x + q", "x")
 
-    def test_arity_mismatch_on_evaluate(self):
-        f = build("x + y", "xy")
-        with pytest.raises(ValueError, match="arity"):
-            evaluate(f, rp("1/2"))
-
-    def test_point_outside_cube(self):
-        f = build("x", "x")
-        with pytest.raises(ValueError, match="outside"):
-            evaluate(f, rp(2))
-
 
 class TestEvaluate:
     def test_oplus_at_origin(self):
-        assert evaluate(build("x + y", "xy"), rp(0, 0)) == 0
+        assert values_at(build("x + y", "xy"), rp(0, 0)) == {0}
 
     def test_implication_tautology(self):
         f = build("x -> x", "x")
         for v in farey(5):
-            assert evaluate(f, (v,)) == 1
-        assert is_tautology(f)
+            assert values_at(f, (v,)) == {1}
+        assert is_constantly_one(f)
 
     def test_multiple_times_negation(self):
-        assert evaluate(build("2.x * ~x", "x"), rp("2/5")) == Rat(2, 5)
+        assert values_at(build("2.x * ~x", "x"), rp("2/5")) == {Rat(2, 5)}
 
 
 class TestOracleEquivalence:
@@ -115,7 +111,7 @@ class TestOracleEquivalence:
                     tuple(Rat(rng.randint(0, 6), 6) for _ in range(3)) for _ in range(25)
                 ]
             for p in points:
-                assert evaluate(func, p) == eval_at(text, p), (text, p)
+                assert values_at(func, p) == {eval_at(text, p)}, (text, p)
 
 
 def shared_formula(rng, names, size):
@@ -193,13 +189,13 @@ class TestComplexInvariants:
         # Range: all vertex values in [0,1].
         for cell in func.cells:
             for v in cell.polytope.vertices:
-                value = cell.form.value(v)
+                value = form_at(cell.form, v)
                 assert 0 <= value <= 1
         # Continuity: forms agree on shared vertices of any two cells.
         for ca, cb in combinations(func.cells, 2):
             shared = set(ca.polytope.vertices) & set(cb.polytope.vertices)
             for v in shared:
-                assert ca.form.value(v) == cb.form.value(v)
+                assert form_at(ca.form, v) == form_at(cb.form, v)
 
     def test_fixed_formulas(self):
         for text, names in [
@@ -221,7 +217,7 @@ class TestComplexInvariants:
 class TestOneset:
     def test_double_x(self):
         pieces = oneset(build("x + x", "x"))
-        assert pieces == [convex_hull([rp("1/2"), rp(1)])]
+        assert pieces == [Polytope.from_vertices([rp("1/2"), rp(1)])]
 
     def test_bottom_empty(self):
         assert oneset(build("0", "x")) == []
@@ -238,7 +234,7 @@ class TestOneset:
             for piece in oneset(func):
                 for v in piece.vertices:
                     assert all(0 <= x <= 1 for x in v)
-                    assert evaluate(func, v) == 1
+                    assert values_at(func, v) == {1}
 
 
 class TestCommonRefinement:
@@ -252,8 +248,8 @@ class TestCommonRefinement:
         # at the vertices.
         for cell, cell_forms in zip(cells, forms):
             for v in cell.vertices:
-                assert cell_forms[0].value(v) == eval_at("x | y", v)
-                assert cell_forms[1].value(v) == eval_at("x + y", v)
+                assert form_at(cell_forms[0], v) == eval_at("x | y", v)
+                assert form_at(cell_forms[1], v) == eval_at("x + y", v)
 
     def test_single_tautology(self):
         ctx = VarContext(["x", "y"])
@@ -269,7 +265,7 @@ class TestCommonRefinement:
         for cell, cell_forms in zip(cells, forms):
             for v in cell.vertices:
                 for text, form in zip(texts, cell_forms):
-                    assert form.value(v) == eval_at(text, v)
+                    assert form_at(form, v) == eval_at(text, v)
 
     def test_context_mismatch(self):
         f1 = build("x", "x")
@@ -296,12 +292,15 @@ class TestCommonRefinement:
 
 class TestRange:
     def test_function_range(self):
-        lo, hi = function_range(build("x * ~x", "x"))
-        assert lo == 0
-        # max of max(0, x + (1-x) - 1) = 0 everywhere: x ⊙ ¬x is Bot-valued.
-        assert hi == 0
-        lo2, hi2 = function_range(build("x | ~x", "x"))
-        assert (lo2, hi2) == (Rat(1, 2), ONE)
+        # An affine form is extreme on a cell at a vertex, so the vertex
+        # values give the range over the cube.
+        def value_range(text):
+            values = [Rat(v, d) for (_, d), (v,) in vertex_table(build(text, "x")).items()]
+            return min(values), max(values)
+
+        # max(0, x + (1-x) - 1) = 0 everywhere: x ⊙ ¬x is Bot-valued.
+        assert value_range("x * ~x") == (0, 0)
+        assert value_range("x | ~x") == (Rat(1, 2), ONE)
 
 
 class TestRecords:

@@ -76,6 +76,30 @@ def random_event_list(rng: random.Random, max_events=3, max_vars=3, max_depth=4)
     return [random_event(rng, variables, rng.randint(1, max_depth)) for _ in range(count)]
 
 
+def form_at(form, point):
+    """The value const + coeffs·point of an affine form, exactly."""
+    return form.const + dot(form.coeffs, point)
+
+
+def values_at(func, point):
+    """The set of values at the point of the forms of every cell of the
+    complex that contains it: one value where the complex is right."""
+    return {form_at(cell.form, point) for cell in func.cells if cell.polytope.contains(point)}
+
+
+def vertex_table(func):
+    """`vertex_values` of a complex's cells: (P, d) -> (d·f(P/d),)."""
+    from coh.pwl import vertex_values
+
+    return vertex_values([cell.polytope for cell in func.cells], [(cell.form,) for cell in func.cells])
+
+
+def is_constantly_one(func):
+    """Whether the function is 1 at every vertex of its complex, so
+    everywhere."""
+    return all(value == d for (_, d), (value,) in vertex_table(func).items())
+
+
 def project(poly, coords):
     """The image of a polytope under the projection onto the coordinates
     `coords` (0-based): the hull of its projected vertices."""
@@ -241,7 +265,7 @@ def cube_vertices_bruteforce(dim, halfspaces):
 
 
 def _ref_split(cell, switch, low, high):
-    vals = [switch.value(v) for v in cell.vertices]
+    vals = [form_at(switch, v) for v in cell.vertices]
     if all(v <= 0 for v in vals):
         return [LinearCell(cell, low)]
     if all(v >= 0 for v in vals):
@@ -369,7 +393,7 @@ def reference_decide_consequence(premise, conclusion):
         if piece is None:
             continue
         for psi_cell in f_psi.cells:
-            objective = [psi_cell.form.value(v) for v in verts]
+            objective = [form_at(psi_cell.form, v) for v in verts]
             region = piece.halfspaces + psi_cell.polytope.halfspaces
             feasible, value, point = reference_min_affine_over(verts, region, objective)
             if feasible and value < 1:
@@ -401,7 +425,7 @@ def reference_verify_oneset(formula, poly, ctx):
                 return False
     verts = poly.vertices
     for cell in func.cells:
-        objective = [cell.form.value(v) for v in verts]
+        objective = [form_at(cell.form, v) for v in verts]
         feasible, value, _ = reference_min_affine_over(verts, cell.polytope.halfspaces, objective)
         if feasible and value < 1:
             return False
@@ -498,11 +522,11 @@ def reference_facets(vertices, dim):
     one = Rat(1)
     if dim == 0:
         return ()
-    if len(vertices) == 1:
-        return tuple(sorted(Polytope._box(dim, vertices[0], vertices[0]).halfspaces))
     base = vertices[0]
     reduced, pivots = rref([[x - y for x, y in zip(v, base)] for v in vertices[1:]])
     rank = len(pivots)
+    if rank == 0:
+        return tuple(sorted(Polytope._box(dim, base, base).halfspaces))
     basis = [tuple(reduced[r]) for r in range(rank)]
     facets = []
     for w in nullspace(basis):
