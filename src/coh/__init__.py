@@ -52,10 +52,8 @@ from .fplogic import (
     verify_unifier,
 )
 from .polytope import MembershipCertificate, Polytope, membership
-from .pwl import AffineForm, PwlFunction, common_refinement, mcnaughton, oneset
 
 __all__ = [
-    "AffineForm",
     "Book",
     "CoherenceVerdict",
     "CoherentSet",
@@ -66,7 +64,6 @@ __all__ = [
     "ParseError",
     "Polytope",
     "ProbSubstitution",
-    "PwlFunction",
     "Rat",
     "TranslationContext",
     "UnificationProblem",
@@ -74,7 +71,6 @@ __all__ = [
     "canonical_serialize",
     "check_book",
     "coherent_set",
-    "common_refinement",
     "decide_consequence",
     "deduction_exponent",
     "evaluate_formula",
@@ -82,11 +78,9 @@ __all__ = [
     "formula_depth",
     "free_vars",
     "is_probabilistic_substitution",
-    "mcnaughton",
     "membership",
     "modal_atoms",
     "normalize",
-    "oneset",
     "oneset_formula",
     "parse_event",
     "parse_modal",

@@ -239,12 +239,18 @@ def run_batch(path: str) -> list:
     queries = doc.get("queries") if isinstance(doc, dict) else doc
     if not isinstance(queries, list):
         raise ValueError("a batch file must hold a list of queries, or an object with a 'queries' list")
-    for i, query in enumerate(queries):
-        try:
-            _parse_query(query)
-        except ValueError as err:
-            raise ValueError(f"batch query {i}: {err}") from None
-    return [run_query(q) for q in queries]
+    parsed = [_in_query(i, _parse_query, query) for i, query in enumerate(queries)]
+    return [_in_query(i, runner, *args) for i, (runner, args) in enumerate(parsed)]
+
+
+def _in_query(i: int, step, *args):
+    """step(*args), with the message of any error it raises prefixed by
+    `batch query i: `; the error keeps its class, so its exit code."""
+    try:
+        return step(*args)
+    except (ValueError, KeyError) as err:
+        err.args = (f"batch query {i}: {err}",)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -161,22 +161,18 @@ class IncoherentBookError(ValueError):
         self.verdict = verdict
 
 
-def coherent_set(
-    events: EventList | Sequence,
-    order: list[int] | None = None,
-    extra_cuts: list[tuple[tuple[int, ...], int]] | None = None,
-) -> CoherentSet:
+def coherent_set(events: EventList | Sequence) -> CoherentSet:
     """Construct the coherent set of an event list.
 
     The events' values at the vertices of one complex on which all of them
-    are affine are read once, in integers (`vertex_values`); the hull of
-    their images is the coherent set, and each image keeps its first
-    valuation in table order.  `order` and `extra_cuts` vary the complex;
-    the resulting polytope is independent of them.  No cell or form is kept.
+    are affine (the overlay of their McNaughton complexes) are read once, in
+    integers (`vertex_values`); the hull of their images is the coherent
+    set, and each image keeps its first valuation in table order.  No cell
+    or form is kept.
     """
     ev = events if isinstance(events, EventList) else EventList(events)
     funcs = [mcnaughton(e, ev.context) for e in ev.events]
-    cells, forms = common_refinement(funcs, order=order, extra_cuts=extra_cuts)
+    cells, forms = common_refinement(funcs)
     valuation_of: dict[tuple, tuple] = {}
     for (P, d), values in vertex_values(cells, forms).items():
         image = tuple(Rat(v, d) for v in values)
@@ -201,12 +197,13 @@ def _verify_state(events: EventList, prices: Sequence, points: list, weights: li
 
 
 def _witness(cs: CoherentSet, weights: Sequence) -> tuple[list[tuple], list[Rat]]:
-    """The valuations and weights of the hull vertices that carry weight."""
+    """The valuations and weights of the hull vertices that carry weight;
+    only those vertices are turned into rational tuples."""
     points: list[tuple] = []
     support: list[Rat] = []
-    for vert, w in zip(cs.polytope.vertices, weights):
+    for (P, d), w in zip(cs.polytope.pairs, weights):
         if w != 0:
-            points.append(cs.valuation_of[vert])
+            points.append(cs.valuation_of[tuple(Rat(p, d) for p in P)])
             support.append(w)
     return points, support
 

@@ -285,15 +285,6 @@ class Polytope:
         pts = ", ".join("(" + ", ".join(rat_str(x) for x in v) + ")" for v in self.vertices)
         return f"Polytope[{pts}]"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "vertices": [[rat_str(x) for x in v] for v in self.vertices],
-            "halfspaces": [
-                {"normal": [int(x) for x in a], "offset": int(b)} for a, b in self.halfspaces
-            ],
-        }
-
 
 # ---------------------------------------------------------------------------
 # Hull-side primitives.
@@ -327,19 +318,6 @@ class MembershipCertificate(Record):
         self.inside = inside
         self.weights = weights
         self.separator = separator
-
-    def to_json_dict(self) -> dict:
-        if self.inside:
-            return {"inside": True, "weights": [rat_str(w) for w in self.weights]}
-        normal, threshold, margin = self.separator
-        return {
-            "inside": False,
-            "separator": {
-                "normal": [int(x) for x in normal],
-                "threshold": rat_str(threshold),
-                "margin": rat_str(margin),
-            },
-        }
 
 
 def _lexmin_weights(points: Sequence[Point], target: Point) -> tuple:

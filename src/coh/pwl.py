@@ -18,6 +18,11 @@ Every cell carries one integer affine form per formula; the cells of a
 complex cover the start region and agree on shared faces, which the test
 suite checks exactly.  An affine form is least on a cell at a vertex, so
 `vertex_values` decides "f >= c on the region" ("Vertex-only verdicts").
+
+`common_refinement` overlays `mcnaughton` complexes one after another, as
+`coherent_set` does, and `oneset` lists the pieces {form = 1} of a
+complex's cells, one per cell: their union is {f = 1}, and no piece is
+dropped for lying inside another.
 """
 
 from __future__ import annotations
@@ -261,38 +266,18 @@ def oneset_piece(cell: LinearCell) -> Polytope | None:
 
 
 def oneset(func: PwlFunction) -> list[Polytope]:
-    """The polytopes {x in cell : form = 1}; pieces inside others dropped."""
-    pieces = [piece for piece in map(oneset_piece, func.cells) if piece is not None]
-    pieces = list(dict.fromkeys(pieces))
-    kept: list[Polytope] = []
-    for i, piece in enumerate(pieces):
-        absorbed = False
-        for j, other in enumerate(pieces):
-            if i == j:
-                continue
-            if piece.pairs == other.pairs:
-                absorbed = i > j
-            elif other.includes(piece):
-                absorbed = True
-            if absorbed:
-                break
-        if not absorbed:
-            kept.append(piece)
-    return kept
+    """The polytopes {x in cell : form = 1}, one per cell in cell order,
+    repeats dropped.  Their union is {f = 1}; a piece may lie inside
+    another (a face of a neighbouring cell's piece), so inclusion in a
+    polytope holds for the union exactly when it holds for every piece."""
+    return list(dict.fromkeys(piece for piece in map(oneset_piece, func.cells) if piece is not None))
 
 
-def common_refinement(
-    funcs: list[PwlFunction],
-    order: list[int] | None = None,
-    extra_cuts: list[tuple[tuple[int, ...], int]] | None = None,
-) -> tuple[list[Polytope], list[list[AffineForm]]]:
+def common_refinement(funcs: list[PwlFunction]) -> tuple[list[Polytope], list[list[AffineForm]]]:
     """Overlay complexes so every input function is affine on every cell.
 
     Returns parallel lists: cells, and per cell the forms of all functions in
-    their original order.  `order` permutes the overlay sequence and
-    `extra_cuts` inserts gratuitous hyperplane splits (a·x <= b and >=);
-    both change the cell decomposition but never the refined geometry, which
-    the triangulation-independence tests rely on.
+    their order.
     """
     if not funcs:
         raise ValueError("no functions to refine")
@@ -300,30 +285,14 @@ def common_refinement(
     if any(f.context != ctx for f in funcs):
         raise ValueError("functions share no common variable context")
     n = ctx.arity
-    sequence = list(range(len(funcs))) if order is None else list(order)
-    if sorted(sequence) != list(range(len(funcs))):
-        raise ValueError("order must permute the function indices")
-
-    work: list[tuple[Polytope, dict[int, AffineForm]]] = [(Polytope.cube(n), {})]
-    for idx in sequence:
+    work: list[tuple[Polytope, list[AffineForm]]] = [(Polytope.cube(n), [])]
+    for func in funcs:
         nxt = []
         for region, forms in work:
-            for cell in funcs[idx].cells:
+            for cell in func.cells:
                 piece = region.intersect(cell.polytope)
                 if piece is None or (n > 0 and piece.affine_dim() < n):
                     continue
-                nxt.append((piece, {**forms, idx: cell.form}))
+                nxt.append((piece, forms + [cell.form]))
         work = nxt
-
-    for normal, offset in extra_cuts or ():
-        work = [
-            (part, forms)
-            for region, forms in work
-            for part in _sides(region, normal, offset)
-            if part is not None
-        ]
-
-    cells = [region for region, _ in work]
-    forms = [[f[i] for i in range(len(funcs))] for _, f in work]
-    return cells, forms
-
+    return [region for region, _ in work], [forms for _, forms in work]

@@ -237,13 +237,16 @@ class TestErrorsAndCaps:
         # Left-associative chains and postfix powers are built by loops the
         # nesting cap does not count; every walk over the result is
         # iterative, so the depth cap reports them, with atoms or without.
+        # A batch names the query.
+        prefix = ""
         if argv[-1] == "BATCH":
             path = tmp_path / "deep.json"
             path.write_text(json.dumps({"queries": [{"events": ["x+" * 3000 + "x"]}]}))
             argv = ["batch", str(path)]
+            prefix = "batch query 0: "
         code, out, err = run_cli(*argv, "--json")
         assert code == 3 and out == ""
-        assert re.fullmatch(r"error: formula depth 300[01] exceeds the cap of 12\n", err)
+        assert re.fullmatch(rf"error: {prefix}formula depth 300[01] exceeds the cap of 12\n", err)
 
 
 RATIONAL = {"type": "string", "pattern": r"^-?\d+(/\d+)?$"}
@@ -373,6 +376,21 @@ class TestBatch:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "exact rational" in err
+
+    @pytest.mark.parametrize(
+        "second, code, message",
+        [
+            ({"events": ["x+"]}, 2, "unexpected '' (at offset 2)"),
+            ({"events": ["x", "y", "z", "w", "v"]}, 3, "5 propositional variables exceed the cap of 4"),
+        ],
+        ids=["parse-exit-2", "cap-exit-3"],
+    )
+    def test_error_while_running_names_the_query(self, tmp_path, second, code, message):
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps([{"events": ["x"], "book": ["1/2"]}, second, {"events": ["x"]}]))
+        got, out, err = run_cli("batch", str(path), "--json")
+        assert (got, out) == (code, "")
+        assert err == f"error: batch query 1: {message}\n"
 
     def test_book_as_mapping(self):
         result = run_query({"events": ["x|~x"], "book": {"x|~x": "1/4"}})

@@ -18,7 +18,14 @@ from coh.exact import ONE, Rat, ZERO, dot, vec_content
 from coh.formula import ParseError, parse_event, parse_modal
 from coh.polytope import MembershipCertificate, Polytope, membership
 
-from util import eval_at, project, random_event, random_event_list, reference_extension_interval
+from util import (
+    eval_at,
+    project,
+    random_event,
+    random_event_list,
+    reference_extension_interval,
+    varied_coherent_set,
+)
 
 
 def rp(*vals):
@@ -60,8 +67,8 @@ class TestCoherentSet:
             cs1 = coherent_set(events)
             k = len(events)
             order = list(range(k))[::-1]
-            cs2 = coherent_set(events, order=order, extra_cuts=[((1,) + (0,) * (cs1.events.context.arity - 1), 1)])
-            assert cs1.polytope == cs2.polytope
+            extra = [((1,) + (0,) * (cs1.events.context.arity - 1), 1)]
+            assert cs1.polytope == varied_coherent_set(events, order, extra)
 
     def test_projection_is_sub_coherent_set(self):
         # Dropping events projects the coherent set onto the kept axes; the

@@ -273,7 +273,8 @@ class TestOnesetFormula:
         chi = oneset_formula(poly)
         ctx = VarContext(["x1"])
         pieces = oneset(mcnaughton(chi, ctx))
-        assert pieces == [poly]
+        assert poly in pieces
+        assert all(poly.includes(piece) for piece in pieces)
         # Equivalent to doubling: same function values everywhere.
         for v in farey(6):
             expected = min(ONE, 2 * v)

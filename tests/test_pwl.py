@@ -39,10 +39,12 @@ from util import (
     eval_at,
     farey,
     form_at,
+    grid_points,
     is_constantly_one,
     random_event,
     reference_mcnaughton,
     values_at,
+    varied_complex,
     vertex_table,
 )
 
@@ -216,8 +218,12 @@ class TestComplexInvariants:
 
 class TestOneset:
     def test_double_x(self):
+        # The cell [0, 1/2] gives the point 1/2, inside the piece [1/2, 1] of
+        # the next cell; the union is [1/2, 1].
         pieces = oneset(build("x + x", "x"))
-        assert pieces == [Polytope.from_vertices([rp("1/2"), rp(1)])]
+        half_to_one = Polytope.from_vertices([rp("1/2"), rp(1)])
+        assert half_to_one in pieces
+        assert all(half_to_one.includes(piece) for piece in pieces)
 
     def test_bottom_empty(self):
         assert oneset(build("0", "x")) == []
@@ -235,6 +241,22 @@ class TestOneset:
                 for v in piece.vertices:
                     assert all(0 <= x <= 1 for x in v)
                     assert values_at(func, v) == {1}
+
+    def test_union_is_exactly_the_oneset(self):
+        # Every piece lies in {f = 1}, and every grid point where f is 1 lies
+        # in some piece.
+        rng = random.Random(78)
+        for _ in range(40):
+            names = "xy"[: rng.randint(1, 2)]
+            text = random_event(rng, list(names), rng.randint(1, 3))
+            func = build(text, names)
+            pieces = oneset(func)
+            for piece in pieces:
+                for v in piece.vertices:
+                    assert values_at(func, v) == {1}, text
+            for point in grid_points(len(names), 6):
+                if eval_at(text, point) == 1:
+                    assert any(piece.contains(point) for piece in pieces), (text, point)
 
 
 class TestCommonRefinement:
@@ -277,8 +299,10 @@ class TestCommonRefinement:
         ctx = VarContext(["x", "y"])
         fs = [mcnaughton(parse_event(t), ctx) for t in ["x | y", "x + y"]]
         cells, _ = common_refinement(fs)
-        # Redundant extra split: total geometry unchanged, volumes preserved.
-        cells2, _ = common_refinement(fs, extra_cuts=[((1, -1), 0), ((3, 1), 2)])
+        # Another builder (refine, other order) with extra splits: total
+        # geometry unchanged, volumes preserved.
+        events = [parse_event(t) for t in ["x | y", "x + y"]]
+        cells2, _ = varied_complex(events, ctx, [1, 0], [((1, -1), 0), ((3, 1), 2)])
         assert sum(c.volume() for c in cells2) == sum(c.volume() for c in cells) == 1
         for cell in cells2:
             parents = [c for c in cells if all(c.contains(v) for v in cell.vertices)]

@@ -1,12 +1,16 @@
-"""The benchmark's tracer against the library, without running the benchmark.
+"""The benchmark's tracer and outputs against the library, without running
+the benchmark.
 
 `benchmark/spans.py` wraps layer functions and `Polytope` methods by name,
 so renaming one of them breaks a traced benchmark run; this catches that in
 the test suite.  Neither benchmark file is edited: they are imported as
 they are, and a few queries of each workload's seeded stream run plain and
-traced.
+traced.  A longer prefix of each stream pins the output bytes: a change
+meant to move them updates `GOLDEN` and says so.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -42,3 +46,21 @@ def test_traced_queries_match_plain(bench, workload):
     assert traced == plain
     missing = [layer for layer in run.EXPECTED_LAYERS[workload] if tracer.calls[layer] == 0]
     assert missing == []
+
+
+# Queries of seed 1 and the sha256 of their sorted-key JSON verdicts.
+GOLDEN = {
+    "books": (30, "0631da1dda66f0c222d937be9d65e72d925baf7efd4833684ca3f52f85dc3e84"),
+    "entail": (150, "a08867f0599a17e4c5238c6eda95b334dd5b8b56e595735d572976a853a6d3cd"),
+    "cli": (30, "b680703f6f5dcb85529fe9236619214afe9395b5430afce88e5bc6aeba6c7f11"),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(GOLDEN))
+def test_golden_outputs(bench, workload):
+    gen, run, _ = bench
+    count, digest = GOLDEN[workload]
+    stream = gen.queries(workload, 1)
+    query_fn = run.run_in_process if workload == "cli" else run.run_api
+    verdicts = [query_fn(next(stream)) for _ in range(count)]
+    assert hashlib.sha256(json.dumps(verdicts, sort_keys=True).encode()).hexdigest() == digest

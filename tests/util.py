@@ -342,6 +342,42 @@ def reference_mcnaughton(formula, ctx):
     return PwlFunction(ctx, rec(formula))
 
 
+def varied_complex(events, ctx, order, extra_cuts):
+    """A complex on which every event is affine, built another way than
+    `coherent_set`'s overlay: one `refine` pass over the events taken in
+    `order`, then every cell split along each extra hyperplane
+    (normal, offset) by `pwl._sides`.  The forms come back in the events'
+    own order."""
+    from coh.pwl import _sides, refine
+
+    cells, forms = refine([events[i] for i in order], ctx)
+    for normal, offset in extra_cuts:
+        split = [
+            (part, cell_forms)
+            for cell, cell_forms in zip(cells, forms)
+            for part in _sides(cell, normal, offset)
+            if part is not None
+        ]
+        cells, forms = [cell for cell, _ in split], [cell_forms for _, cell_forms in split]
+    position = {i: k for k, i in enumerate(order)}
+    return cells, [tuple(cell_forms[position[i]] for i in range(len(events))) for cell_forms in forms]
+
+
+def varied_coherent_set(events, order, extra_cuts):
+    """The coherent set of an event list as the hull of the event values,
+    evaluated at rational points, at the vertices of `varied_complex`."""
+    from coh.coherence import EventList
+
+    ev = EventList(events)
+    cells, forms = varied_complex(list(ev.events), ev.context, order, extra_cuts)
+    images = {
+        tuple(form_at(form, v) for form in cell_forms)
+        for cell, cell_forms in zip(cells, forms)
+        for v in cell.vertices
+    }
+    return Polytope.from_vertices(images)
+
+
 # ---------------------------------------------------------------------------
 # Reference decision procedures: the LP-per-region loops that the library's
 # vertex reads replaced.  A region is parametrised by convex weights over the
