@@ -51,9 +51,8 @@ class NestingError(ParseError):
 
 
 # ---------------------------------------------------------------------------
-# AST nodes.  All are frozen and hashable; equality is structural.  Variables,
-# negations and the binary connectives, the bulk of every formula, have
-# explicit methods; the rest use the generic ones of Frozen.
+# AST nodes.  All are frozen and hashable; equality is structural, by the
+# generic methods of Frozen.
 
 
 class Var(Frozen):
@@ -61,14 +60,6 @@ class Var(Frozen):
 
     def __init__(self, name: str):
         set_field(self, "name", name)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
 
 
 class Bot(Frozen):
@@ -85,14 +76,6 @@ class Neg(Frozen):
     def __init__(self, arg: "Formula"):
         set_field(self, "arg", arg)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.arg,) == (other.arg,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.arg,))
-
 
 class _Binary(Frozen):
     __slots__ = __match_args__ = ("left", "right")
@@ -100,14 +83,6 @@ class _Binary(Frozen):
     def __init__(self, left: "Formula", right: "Formula"):
         set_field(self, "left", left)
         set_field(self, "right", right)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right))
 
 
 class OPlus(_Binary):

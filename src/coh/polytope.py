@@ -320,56 +320,28 @@ class MembershipCertificate(Record):
         self.separator = separator
 
 
-def _lexmin_weights(points: Sequence[Point], target: Point) -> tuple:
-    """(weights, None) with the lexicographically smallest convex weight
-    vector reproducing target, or (None, farkas) when there is none.
-
-    Deterministic tie-break over the canonical (sorted) vertex order: the
-    feasible set is sliced one coordinate at a time.  Phase 1 of a simplex
-    solve never reads the objective, so the first slice decides
-    feasibility and, for an outside target, yields the Farkas vector that a
-    plain feasibility solve would.
-    """
-    A, b = weights_system(points, target)
-    n = len(points)
-    fixed: list = []
-    for j in range(n):
-        cost = [ZERO] * n
-        cost[j] = ONE
-        res = simplex.solve_standard(cost, A, b)
-        if res.status != simplex.OPTIMAL:
-            # Later slices fix values that earlier optima attained.
-            assert j == 0 and res.status == simplex.INFEASIBLE
-            return None, res.farkas
-        wj = res.x[j]
-        fixed.append(wj)
-        row = [ZERO] * n
-        row[j] = ONE
-        A.append(row)
-        b.append(wj)
-    return tuple(fixed), None
-
-
 def membership(point: Sequence, poly: Polytope) -> MembershipCertificate:
     """Exact membership with a verified certificate either way.
 
-    One chain of LPs decides it: the lexicographic weight slices, the first
-    of which doubles as the feasibility test.
+    One lexicographic solve decides it (`simplex.lexmin`): inside, the
+    certificate is the lexicographically least convex weight vector over the
+    sorted vertices, which is unique; outside, its phase 1 gives the Farkas
+    vector that a plain feasibility solve would.
     """
     p = tuple(point)
     if len(p) != poly.dim:
         raise DimensionError(f"point dim {len(p)} != polytope dim {poly.dim}")
     verts = poly.vertices
-    weights, y = _lexmin_weights(verts, p)
-    if weights is not None:
+    res = simplex.lexmin(*weights_system(verts, p))
+    if res.status == simplex.OPTIMAL:
+        weights = res.x
         recon = tuple(dot(weights, [v[i] for v in verts]) for i in range(poly.dim))
         if recon != p or sum(weights) != 1 or any(w < 0 for w in weights):
             raise AssertionError("membership weights failed re-verification")
         return MembershipCertificate(inside=True, weights=weights)
     # Farkas dual: y over (dim coordinate rows + the convexity row) gives a
     # functional g(x) = y_geo·x with g(v) + y_0 <= 0 on vertices and > 0 at p.
-    g = y[: poly.dim]
-    normal = integerize(g)
+    normal = integerize(res.farkas[: poly.dim])
     if all(x == 0 for x in normal):  # pragma: no cover - cannot separate with 0
         raise AssertionError("degenerate separator")
     threshold = max(dot(normal, v) for v in verts)

@@ -61,14 +61,6 @@ class AffineForm(Frozen):
         set_field(self, "const", const)
         set_field(self, "coeffs", coeffs)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.const == other.const and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.const, self.coeffs))
-
     def __add__(self, other: "AffineForm") -> "AffineForm":
         return AffineForm(
             self.const + other.const,

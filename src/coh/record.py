@@ -10,7 +10,7 @@ process about 30 ms, twenty times what a small CLI query takes (see
 A record class names its fields, in constructor order, in ``__match_args__``
 (which also lets a ``match`` class pattern bind them positionally) and stores
 them in ``__slots__``.  The generic methods here read the fields in that
-order; classes on hot paths override them with explicit ones.
+order.
 """
 
 from __future__ import annotations

@@ -16,9 +16,13 @@ y·A_j <= 0 for every column j and y·b > 0, i.e. it is a Farkas certificate
 that no nonnegative solution exists.  Callers turn it into separating
 hyperplanes and Dutch-book stakes.
 
-The callers are hull and membership tests (`polytope`) and the coherence
-and extension LPs (`coherence`).  Facet enumeration solves none: it bounds
-its polar dual in closed form.
+One routine, `_solve`, runs phase 1 once and then minimizes a sequence of
+costs on the same tableau, each over the optima of the ones before it.
+`solve_standard` minimizes one cost; `lexmin` minimizes x_1, x_2, ... in
+turn, which gives the lexicographically least feasible point.  The callers
+are hull tests (`feasible_point`) and certified membership (`lexmin`) in
+`polytope`, and the extension LPs in `coherence`.  Facet enumeration solves
+none: it bounds its polar dual in closed form.
 """
 
 from __future__ import annotations
@@ -86,17 +90,17 @@ def _pivot(T: list[list[int]], S: list[int], basis: list[int], r: int, c: int) -
     basis[r] = c
 
 
-def _run_simplex(T: list[list[int]], S: list[int], basis: list[int], eligible: int) -> str:
+def _run_simplex(T: list[list[int]], S: list[int], basis: list[int], eligible: list[int]) -> str:
     """Minimize the objective row in place; Bland's rule throughout.
 
-    Columns below `eligible` may enter; the last column is the right-hand
-    side.  Row denominators are positive, so every sign test and ratio
-    comparison reads the integer numerators.
+    Only the `eligible` columns (ascending) may enter; the last column is
+    the right-hand side.  Row denominators are positive, so every sign test
+    and ratio comparison reads the integer numerators.
     """
     rhs = len(T[0]) - 1
     while True:
         obj = T[-1]
-        col = next((j for j in range(eligible) if obj[j] < 0), None)
+        col = next((j for j in eligible if obj[j] < 0), None)
         if col is None:
             return OPTIMAL
         best_row = None
@@ -116,10 +120,30 @@ def _run_simplex(T: list[list[int]], S: list[int], basis: list[int], eligible: i
         _pivot(T, S, basis, best_row, col)
 
 
-def solve_standard(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
-    """Minimize c·x s.t. A x = b, x >= 0 (all entries rational or int)."""
+def _objective(obj: list[int], den: int, T: list[list[int]], basis: list[int]) -> tuple[list[int], int]:
+    """The cost row obj/den (right-hand side entry 0) reduced by the basis.
+
+    Each constraint row is eliminated by its basic column; a row whose basic
+    column lies beyond the cost (an artificial left on a redundant row after
+    the artificial columns are cut off) is skipped.
+    """
+    for row, col in zip(T, basis):  # stops before an objective row
+        if col < len(obj) - 1 and obj[col] != 0:
+            obj, den = _eliminate(obj, den, row, row[col], col)
+    return obj, den
+
+
+def _solve(costs: Sequence[Sequence], A: Sequence[Sequence], b: Sequence) -> LPResult:
+    """Minimize each cost in turn over the optima of the ones before it.
+
+    After an optimum, the nonbasic columns of positive reduced cost are
+    barred from entering: on the whole feasible set the objective is its
+    optimum plus those reduced costs times their variables, so the optimal
+    face is where they are 0.  The result holds the last cost's point and
+    value.
+    """
     m = len(A)
-    n = len(c)
+    n = len(costs[0])
     ncols = n + m
     # Phase 1: artificial variable per row, minimize their sum.  Row i is
     # [A_i | e_i | b_i], negated first when b_i < 0.
@@ -133,23 +157,13 @@ def solve_standard(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
             flipped[i] = True
         T.append(ints[:n] + [den if j == i else 0 for j in range(m)] + [ints[n]])
         S.append(den)
-    # Objective: minus the sum of the rows over the original columns and the
-    # right-hand side; artificial columns keep reduced cost 0 in this row and
-    # may not re-enter.
-    obj_den = 1
-    for den in S:
-        obj_den = obj_den // gcd(obj_den, den) * den
-    obj = [0] * (ncols + 1)
-    for row, den in zip(T, S):
-        scale = obj_den // den
-        for j in range(n):
-            obj[j] -= row[j] * scale
-        obj[ncols] -= row[ncols] * scale
-    g = _content(obj, obj_den)
-    T.append([v // g for v in obj])
-    S.append(obj_den // g)
     basis = [n + i for i in range(m)]
-    status = _run_simplex(T, S, basis, n)
+    # Artificial columns may not enter, so their reduced costs keep the dual.
+    obj, den = _objective([0] * n + [1] * m + [0], 1, T, basis)
+    T.append(obj)
+    S.append(den)
+    eligible = list(range(n))
+    status = _run_simplex(T, S, basis, eligible)
     assert status == OPTIMAL  # phase 1 is bounded below by 0
     if T[-1][ncols] < 0:
         # Infeasible.  The artificial column of row i is e_i, so its stored
@@ -160,38 +174,39 @@ def solve_standard(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
         farkas = tuple(-y[i] if flipped[i] else y[i] for i in range(m))
         return LPResult(INFEASIBLE, farkas=farkas)
 
-    # Drive any basic artificial (at level 0) out of the basis.
+    # Drive any basic artificial (at level 0) out of the basis, then cut the
+    # artificial columns off every row.
     for r in range(m):
         if basis[r] >= n:
             col = next((j for j in range(n) if T[r][j] != 0), None)
             if col is not None:
                 _pivot(T, S, basis, r, col)
-    keep = [r for r in range(m) if basis[r] < n]
+    for row in T:
+        del row[n:ncols]
 
-    # Phase 2 on the original objective.
-    T2: list[list[int]] = []
-    S2: list[int] = []
-    for r in keep:
-        row = T[r][:n] + [T[r][ncols]]
-        g = _content(row, S[r])
-        T2.append([v // g for v in row] if g > 1 else row)
-        S2.append(S[r] // g)
-    basis2 = [basis[r] for r in keep]
-    obj, obj_den = common_denominator([*c, 0])
-    for r, line in enumerate(T2):
-        col = basis2[r]
-        if obj[col] != 0:
-            obj, obj_den = _eliminate(obj, obj_den, line, line[col], col)
-    T2.append(obj)
-    S2.append(obj_den)
-    status = _run_simplex(T2, S2, basis2, n)
-    if status == UNBOUNDED:
-        return LPResult(UNBOUNDED)
+    # Phase 2 on each cost in turn; the objective row stays last.
+    for k, cost in enumerate(costs):
+        if k:
+            eligible = [j for j in eligible if T[-1][j] == 0]
+        T[-1], S[-1] = _objective(*common_denominator([*cost, 0]), T, basis)
+        if _run_simplex(T, S, basis, eligible) == UNBOUNDED:
+            return LPResult(UNBOUNDED)
     x = [ZERO] * n
-    for r, j in enumerate(basis2):
-        x[j] = Rat(T2[r][n], S2[r])
-    value = Rat(-T2[-1][n], S2[-1])
-    return LPResult(OPTIMAL, x=tuple(x), value=value)
+    for r, j in enumerate(basis):
+        if j < n:
+            x[j] = Rat(T[r][n], S[r])
+    return LPResult(OPTIMAL, x=tuple(x), value=Rat(-T[-1][n], S[-1]))
+
+
+def solve_standard(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
+    """Minimize c·x s.t. A x = b, x >= 0 (all entries rational or int)."""
+    return _solve([c], A, b)
+
+
+def lexmin(A: Sequence[Sequence], b: Sequence) -> LPResult:
+    """The lexicographically least x >= 0 with A x = b, or a Farkas certificate."""
+    n = len(A[0])
+    return _solve([[int(i == j) for i in range(n)] for j in range(n)], A, b)
 
 
 def feasible_point(A: Sequence[Sequence], b: Sequence) -> LPResult:

@@ -124,20 +124,24 @@ class TestMembership:
             segment.contains(rp(0, 0))
 
     def test_one_lp_chain(self, monkeypatch):
-        # n slices for an inside point over n vertices; the first slice alone
-        # decides an outside one.
+        # One lexicographic solve per membership, inside or outside, and no
+        # separate feasibility or slice LP.
         calls = []
 
-        def counted(c, A, b):
-            calls.append(len(c))
-            return solve_standard(c, A, b)
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
 
-        monkeypatch.setattr(simplex, "solve_standard", counted)
+            return wrapper
+
+        monkeypatch.setattr(simplex, "lexmin", counted("lexmin", simplex.lexmin))
+        monkeypatch.setattr(simplex, "solve_standard", counted("solve_standard", solve_standard))
         assert membership(rp("1/2", "1/2"), Polytope.cube(2)).inside
-        assert calls == [4] * 4
+        assert calls == ["lexmin"]
         calls.clear()
         assert not membership(rp(2, 0), Polytope.cube(2)).inside
-        assert calls == [4]
+        assert calls == ["lexmin"]
 
     def test_matches_reference(self):
         # One LP chain against a feasibility solve followed by the slices:

@@ -8,6 +8,7 @@ from coh.simplex import (
     OPTIMAL,
     UNBOUNDED,
     feasible_point,
+    lexmin,
     maximize,
     solve_standard,
 )
@@ -133,3 +134,49 @@ class TestReferenceEquivalence:
                 assert dot(res.farkas, b) > 0
         assert min(seen.values()) >= 40, seen
         assert negative_rhs >= 100 and redundant_feasible >= 40
+
+
+def reference_lexmin(A, b):
+    """x_1 minimized, fixed by an appended row e_1 = x_1*, then x_2, and so on."""
+    n = len(A[0])
+    A, b = list(A), list(b)
+    x = []
+    for j in range(n):
+        unit = [Rat(int(i == j)) for i in range(n)]
+        status, point, _, _ = reference_solve_standard(unit, A, b)
+        assert status == OPTIMAL
+        x.append(point[j])
+        A.append(unit)
+        b.append(point[j])
+    return tuple(x)
+
+
+class TestLexmin:
+    def test_random_systems_match_slice_chain(self):
+        # Feasible: the least point of the one-tableau solve is the one the
+        # chain of fixed slices reaches.  Infeasible: the same phase 1 gives
+        # the same Farkas vector.
+        rng = random.Random(71)
+        feasible = infeasible = moved = 0
+        for _ in range(400):
+            _, A, b, _ = _random_lp(rng)
+            res = lexmin(A, b)
+            plain = solve_standard([ONE] + [ZERO] * (len(A[0]) - 1), A, b)
+            if plain.status == INFEASIBLE:
+                assert res.status == INFEASIBLE
+                assert res.farkas == plain.farkas
+                infeasible += 1
+                continue
+            assert res.status == OPTIMAL
+            assert res.x == reference_lexmin(A, b)
+            feasible += 1
+            moved += res.x != plain.x  # a later cost moved the point
+        assert feasible >= 100 and infeasible >= 100 and moved >= 15, (feasible, infeasible, moved)
+
+    def test_later_costs_stay_on_the_earlier_optima(self):
+        # Weights over the points 0, 1 and 1/2 averaging 1/2.  Once x_1 = 0,
+        # all weight sits on 1/2, although x_3 alone could reach 0 (half on 0,
+        # half on 1).
+        res = lexmin([[0, 1, Rat(1, 2)], [1, 1, 1]], [Rat(1, 2), ONE])
+        assert res.status == OPTIMAL
+        assert res.x == (ZERO, ZERO, ONE)

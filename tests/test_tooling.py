@@ -5,17 +5,14 @@ the benchmark.
 so renaming one of them breaks a traced benchmark run; this catches that in
 the test suite.  Neither benchmark file is edited: they are imported as
 they are, and a few queries of each workload's seeded stream run plain and
-traced.  A longer prefix of each stream pins the output bytes: a change
-meant to move them updates `GOLDEN` and says so.
+traced.  A longer prefix of each stream pins the output bytes (see
+`golden.py`): a change meant to move them updates `GOLDEN` and says so.
 """
-
-import hashlib
-import json
-from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "benchmark"
+from golden import BENCH, digest
+
 PREFIX = {"books": 3, "entail": 5, "cli": 12}
 
 
@@ -58,9 +55,5 @@ GOLDEN = {
 
 @pytest.mark.parametrize("workload", sorted(GOLDEN))
 def test_golden_outputs(bench, workload):
-    gen, run, _ = bench
-    count, digest = GOLDEN[workload]
-    stream = gen.queries(workload, 1)
-    query_fn = run.run_in_process if workload == "cli" else run.run_api
-    verdicts = [query_fn(next(stream)) for _ in range(count)]
-    assert hashlib.sha256(json.dumps(verdicts, sort_keys=True).encode()).hexdigest() == digest
+    count, expected = GOLDEN[workload]
+    assert digest(workload, 1, count) == expected
