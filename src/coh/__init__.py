@@ -12,82 +12,41 @@ The library answers, with machine-checkable certificates:
   unifier of a set of identities, or a generality composition?
 
 All arithmetic is exact rational; nothing is ever rounded.
+
+A public name's home module is imported on first access (PEP 562), so
+`import coh` loads no submodule and a book query never loads the modal layer.
 """
 
-from .coherence import (
-    Book,
-    CoherenceVerdict,
-    CoherentSet,
-    EventList,
-    IncoherentBookError,
-    check_book,
-    coherent_set,
-    extension_interval,
-)
-from .exact import Rat, parse_rational, rat_str
-from .formula import (
-    ParseError,
-    VarContext,
-    canonical_serialize,
-    evaluate_formula,
-    formula_depth,
-    free_vars,
-    modal_atoms,
-    normalize,
-    parse_event,
-    parse_modal,
-)
-from .fplogic import (
-    ConsequenceResult,
-    ProbSubstitution,
-    TranslationContext,
-    UnificationProblem,
-    decide_consequence,
-    deduction_exponent,
-    is_probabilistic_substitution,
-    oneset_formula,
-    prove,
-    translate,
-    verify_generality,
-    verify_unifier,
-)
-from .polytope import MembershipCertificate, Polytope, membership
+from importlib import import_module
 
-__all__ = [
-    "Book",
-    "CoherenceVerdict",
-    "CoherentSet",
-    "ConsequenceResult",
-    "EventList",
-    "IncoherentBookError",
-    "MembershipCertificate",
-    "ParseError",
-    "Polytope",
-    "ProbSubstitution",
-    "Rat",
-    "TranslationContext",
-    "UnificationProblem",
-    "VarContext",
-    "canonical_serialize",
-    "check_book",
-    "coherent_set",
-    "decide_consequence",
-    "deduction_exponent",
-    "evaluate_formula",
-    "extension_interval",
-    "formula_depth",
-    "free_vars",
-    "is_probabilistic_substitution",
-    "membership",
-    "modal_atoms",
-    "normalize",
-    "oneset_formula",
-    "parse_event",
-    "parse_modal",
-    "parse_rational",
-    "prove",
-    "rat_str",
-    "translate",
-    "verify_generality",
-    "verify_unifier",
-]
+# Each defining module and the public names it exports.
+_EXPORTS = {
+    "coherence": (
+        "Book", "CoherenceVerdict", "CoherentSet", "EventList", "IncoherentBookError",
+        "check_book", "coherent_set", "extension_interval",
+    ),
+    "exact": ("Rat", "parse_rational", "rat_str"),
+    "formula": (
+        "ParseError", "VarContext", "canonical_serialize", "evaluate_formula", "formula_depth",
+        "free_vars", "modal_atoms", "parse_event", "parse_modal",
+    ),
+    "fplogic": (
+        "ConsequenceResult", "ProbSubstitution", "TranslationContext", "UnificationProblem",
+        "decide_consequence", "deduction_exponent", "is_probabilistic_substitution",
+        "oneset_formula", "prove", "translate", "verify_generality", "verify_unifier",
+    ),
+    "polytope": ("MembershipCertificate", "Polytope", "membership"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """Import the home module of a public name, and keep the value here so
+    later lookups do not come back.  Any other name is an AttributeError,
+    which lets `from coh import <submodule>` fall through to the import."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value

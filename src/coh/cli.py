@@ -25,15 +25,8 @@ from .formula import (
     NestingError, ParseError, canonical_serialize, formula_depth, modal_atoms, parse_event, parse_modal
 )
 from .polytope import FacetDimensionError
-from .fplogic import (
-    ProbSubstitution,
-    UnificationProblem,
-    decide_consequence,
-    deduction_exponent,
-    oneset_formula,
-    verify_generality,
-    verify_unifier,
-)
+
+# The runners that need fplogic import it themselves: check, set and extend never load it.
 
 MAX_EVENTS = 6
 MAX_INNER_VARS = 4
@@ -109,12 +102,14 @@ def _enforce_modal_caps(*formulas) -> None:
 
 
 def run_entail(premise, conclusion) -> dict:
+    from .fplogic import decide_consequence
     phi, psi = parse_modal(premise), parse_modal(conclusion)
     _enforce_modal_caps(phi, psi)
     return decide_consequence(phi, psi).to_json_dict()
 
 
 def run_chi(events) -> dict:
+    from .fplogic import oneset_formula
     ev = _parse_events(events)
     _enforce_caps(ev)
     chi = oneset_formula(coherent_set(ev).polytope)
@@ -122,6 +117,7 @@ def run_chi(events) -> dict:
 
 
 def run_ldt(premise, conclusion) -> dict:
+    from .fplogic import deduction_exponent
     phi, psi = parse_modal(premise), parse_modal(conclusion)
     _enforce_modal_caps(phi, psi)
     exponent = deduction_exponent(phi, psi)
@@ -130,14 +126,16 @@ def run_ldt(premise, conclusion) -> dict:
     return {"holds": True, "exponent": exponent}
 
 
-def _unification_problem(identities) -> UnificationProblem:
+def _unification_problem(identities):
     """The problem of the identities, with every side within the caps."""
+    from .fplogic import UnificationProblem
     problem = UnificationProblem([tuple(pair) for pair in identities])
     _enforce_modal_caps(*(side for pair in problem.identities for side in pair))
     return problem
 
 
 def run_unify_verify(identities, substitution) -> dict:
+    from .fplogic import ProbSubstitution, verify_unifier
     problem = _unification_problem(identities)
     subst = ProbSubstitution(substitution)
     _enforce_modal_caps(*subst.images.values())
@@ -145,6 +143,7 @@ def run_unify_verify(identities, substitution) -> dict:
 
 
 def run_unify_generality(identities, sigma, tau, delta) -> dict:
+    from .fplogic import ProbSubstitution, verify_generality
     problem = _unification_problem(identities)
     sigma, tau, delta = (ProbSubstitution(m) for m in (sigma, tau, delta))
     # τ's images range over δ's domain, not over the atoms of σ and δ's images.

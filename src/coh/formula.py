@@ -1,11 +1,11 @@
-"""Łukasiewicz formulas: ASTs, parsing, traversal, canonical text, normalization.
+"""Łukasiewicz formulas: ASTs, parsing, traversal, canonical text, evaluation.
 
 The event language has primitive connectives ⊕ (strong disjunction), ¬ and
 the constant ⊥.  Derived connectives (→, ∨, ∧, ⊙, ↔, powers φ^n and
 multiples n.φ) are kept as their own AST nodes so that serialized formulas
-stay readable; :func:`normalize` rewrites any formula into the primitive
-basis.  The modal language adds one leaf, ``P(event)``, and reuses the same
-connective nodes for the outer layer.
+stay readable, and are evaluated by their closed forms.  The modal language
+adds one leaf, ``P(event)``, and reuses the same connective nodes for the
+outer layer.
 
 Concrete syntax (ASCII):
 
@@ -422,56 +422,6 @@ def _text(node: Formula, text) -> str:
 
 def canonical_serialize(formula: Formula) -> str:
     return fold(formula, _text)
-
-
-# ---------------------------------------------------------------------------
-# Normalization to the primitive basis {⊕, ¬, ⊥, variables}.
-
-
-def _imp(a: Formula, b: Formula) -> Formula:
-    return OPlus(Neg(a), b)
-
-
-def _primitive(node: Formula, new) -> Formula:
-    cls = node.__class__
-    if cls is Var or cls is Bot or cls is PAtom:
-        return node
-    if cls is Top:
-        return Neg(BOT)
-    if cls is Neg:
-        return Neg(new(node.arg))
-    if cls is OPlus:
-        return OPlus(new(node.left), new(node.right))
-    if cls is OTimes:
-        return Neg(OPlus(Neg(new(node.left)), Neg(new(node.right))))
-    if cls is Imp:
-        return _imp(new(node.left), new(node.right))
-    if cls is Or:
-        a, b = new(node.left), new(node.right)
-        return _imp(_imp(a, b), b)
-    if cls is And:
-        a, b = new(node.left), new(node.right)
-        return Neg(_imp(_imp(Neg(a), Neg(b)), Neg(b)))
-    if cls is Iff:
-        a, b = new(node.left), new(node.right)
-        left, right = _imp(a, b), _imp(b, a)
-        return Neg(_imp(_imp(Neg(left), Neg(right)), Neg(right)))
-    if cls is Power:
-        out = base = new(node.arg)
-        for _ in range(node.n - 1):
-            out = Neg(OPlus(Neg(out), Neg(base)))
-        return out
-    if cls is Multiple:
-        out = base = new(node.arg)
-        for _ in range(node.n - 1):
-            out = OPlus(out, base)
-        return out
-    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
-
-
-def normalize(formula: Formula) -> Formula:
-    """Rewrite into the primitive basis.  Total and idempotent."""
-    return fold(formula, _primitive, modal_leaves=True)
 
 
 # ---------------------------------------------------------------------------

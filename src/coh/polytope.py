@@ -58,7 +58,7 @@ HalfSpace = tuple[tuple[int, ...], int]
 
 # Facet enumeration runs the double-description method, whose output can
 # explode combinatorially; polytopes beyond this ambient dimension are
-# refused with a clear error.  Raise it at your own risk.
+# refused with a clear error.  The CLI's cap of 6 events stays within it.
 MAX_FACET_DIM = 6
 
 

@@ -514,12 +514,26 @@ class TestReadme:
                 code, _, err = run_cli(*argv)
                 assert code == 0, (argv, err)
 
+    def test_library_example_runs(self):
+        # The documented import path: `from coh import ...` in a fresh interpreter.
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        assert "from coh import" in block
+        fresh_stdout(block)
+
 
 def child_env() -> dict:
     """The environment of a fresh interpreter that imports `coh` from this
     checkout's src/ before anything else on PYTHONPATH."""
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
+def fresh_stdout(code: str) -> str:
+    """The stripped stdout of `code` run in a fresh interpreter, which must exit 0."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 class TestConsoleScript:
@@ -544,3 +558,43 @@ class TestStartup:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_import_loads_no_submodule(self):
+        code = "import sys, coh; print(sorted(m for m in sys.modules if m.startswith('coh.')))"
+        assert fresh_stdout(code) == "[]"
+
+    def test_book_commands_do_not_load_the_modal_layer(self):
+        # check, set and extend are questions about events alone; only the
+        # commands that need fplogic load it.
+        code = (
+            "import contextlib, io, sys\n"
+            "from coh.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['check', '--events', 'x', '--book', '1/2', '--json'])\n"
+            "    main(['set', '--events', 'x', '--json'])\n"
+            "    main(['extend', '--events', 'x', '--book', '1/3', '--new', '~x', '--json'])\n"
+            "    before = 'coh.fplogic' in sys.modules\n"
+            "    main(['fp', 'entail', '--premise', 'P(x)', '--conclusion', 'P(x)+P(x)', '--json'])\n"
+            "print(before, 'coh.fplogic' in sys.modules)\n"
+        )
+        assert fresh_stdout(code) == "False True"
+
+    def test_public_names_are_their_home_modules_objects(self):
+        # Every lookup goes through the lazy table in a fresh interpreter.
+        code = (
+            "import importlib, coh\n"
+            "print([n for n in coh.__all__ if getattr(coh, n) is not\n"
+            "       getattr(importlib.import_module('coh.' + coh._HOME[n]), n)])\n"
+        )
+        assert fresh_stdout(code) == "[]"
+
+    def test_star_import_binds_every_public_name(self):
+        code = "import coh\nns = {}\nexec('from coh import *', ns)\nprint(sorted(set(coh.__all__) - set(ns)))"
+        assert fresh_stdout(code) == "[]"
+
+    def test_unknown_name_is_an_attribute_error(self):
+        import coh
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            coh.no_such_name
+        assert not hasattr(coh, "no_such_name")

@@ -31,12 +31,11 @@ from coh.formula import (
     evaluate_formula,
     formula_depth,
     free_vars,
-    normalize,
     parse_event,
     parse_modal,
 )
 
-from util import eval_at, random_event, random_modal, reference_parse
+from util import eval_at, normalize, random_event, random_modal, reference_parse
 
 
 class TestParsing:

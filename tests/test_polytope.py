@@ -424,10 +424,9 @@ class TestPairs:
 
 
 class TestFacetDimensionCap:
-    def test_beyond_cap_refused(self, monkeypatch):
+    def test_beyond_cap_refused(self):
         import coh.polytope as pt
 
-        monkeypatch.setattr(pt, "MAX_FACET_DIM", 6)
         booleans = sorted(tuple((i >> j) & 1 for j in range(7)) for i in range(2**7))
         poly = Polytope(7, tuple((b, 1) for b in booleans))
         with pytest.raises(pt.FacetDimensionError, match="capped"):

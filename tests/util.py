@@ -731,3 +731,55 @@ class _RefParser:
 def reference_parse(text, modal=False):
     """The formula of `text` (an event formula, or a modal one with `modal`)."""
     return _RefParser(text, modal).parse()
+
+
+# ---------------------------------------------------------------------------
+# Normalization to the primitive basis {⊕, ¬, ⊥, variables}: each derived
+# connective written out by its definition, an independent check of the
+# closed forms that `evaluate_formula` uses.
+
+
+def _imp(a, b):
+    return fm.OPlus(fm.Neg(a), b)
+
+
+def _primitive(node, new):
+    cls = node.__class__
+    if cls is fm.Var or cls is fm.Bot or cls is fm.PAtom:
+        return node
+    if cls is fm.Top:
+        return fm.Neg(fm.BOT)
+    if cls is fm.Neg:
+        return fm.Neg(new(node.arg))
+    if cls is fm.OPlus:
+        return fm.OPlus(new(node.left), new(node.right))
+    if cls is fm.OTimes:
+        return fm.Neg(fm.OPlus(fm.Neg(new(node.left)), fm.Neg(new(node.right))))
+    if cls is fm.Imp:
+        return _imp(new(node.left), new(node.right))
+    if cls is fm.Or:
+        a, b = new(node.left), new(node.right)
+        return _imp(_imp(a, b), b)
+    if cls is fm.And:
+        a, b = new(node.left), new(node.right)
+        return fm.Neg(_imp(_imp(fm.Neg(a), fm.Neg(b)), fm.Neg(b)))
+    if cls is fm.Iff:
+        a, b = new(node.left), new(node.right)
+        left, right = _imp(a, b), _imp(b, a)
+        return fm.Neg(_imp(_imp(fm.Neg(left), fm.Neg(right)), fm.Neg(right)))
+    if cls is fm.Power:
+        out = base = new(node.arg)
+        for _ in range(node.n - 1):
+            out = fm.Neg(fm.OPlus(fm.Neg(out), fm.Neg(base)))
+        return out
+    if cls is fm.Multiple:
+        out = base = new(node.arg)
+        for _ in range(node.n - 1):
+            out = fm.OPlus(out, base)
+        return out
+    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+
+
+def normalize(formula):
+    """Rewrite into the primitive basis.  Total and idempotent."""
+    return fm.fold(formula, _primitive, modal_leaves=True)
