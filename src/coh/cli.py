@@ -232,24 +232,30 @@ def run_query(query: dict) -> dict:
     return runner(*args)
 
 
-def run_batch(path: str) -> list:
+# The errors a query can raise: a cap exceeded exits 3, anything else 2.
+_CAPPED = (CapExceeded, FacetDimensionError, NestingError)
+_INVALID = (ParseError, ValueError, KeyError, OSError, json.JSONDecodeError)
+
+
+def run_batch(path: str) -> tuple[list, int]:
+    """One entry per query of a batch file, and the exit code: its verdict,
+    or {"error": message, "exit": code} with an `error: batch query i:` line
+    on stderr.  The batch exits with the highest code of its queries."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     queries = doc.get("queries") if isinstance(doc, dict) else doc
     if not isinstance(queries, list):
         raise ValueError("a batch file must hold a list of queries, or an object with a 'queries' list")
-    parsed = [_in_query(i, _parse_query, query) for i, query in enumerate(queries)]
-    return [_in_query(i, runner, *args) for i, (runner, args) in enumerate(parsed)]
-
-
-def _in_query(i: int, step, *args):
-    """step(*args), with the message of any error it raises prefixed by
-    `batch query i: `; the error keeps its class, so its exit code."""
-    try:
-        return step(*args)
-    except (ValueError, KeyError) as err:
-        err.args = (f"batch query {i}: {err}",)
-        raise
+    results, worst = [], 0
+    for i, query in enumerate(queries):
+        try:
+            results.append(run_query(query))
+        except _CAPPED + _INVALID as err:
+            code = 3 if isinstance(err, _CAPPED) else 2
+            print(f"error: batch query {i}: {err}", file=sys.stderr)
+            results.append({"error": str(err), "exit": code})
+            worst = max(worst, code)
+    return results, worst
 
 
 # ---------------------------------------------------------------------------
@@ -392,17 +398,17 @@ def main(argv=None) -> int:
     args = _build_parser(argv).parse_args(argv)
     try:
         if args.cmd == "batch":
-            result = run_batch(args.file)
+            result, code = run_batch(args.file)
         else:
-            result = run_query(_query_of(args))
-    except (CapExceeded, FacetDimensionError, NestingError) as err:
+            result, code = run_query(_query_of(args)), 0
+    except _CAPPED as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (ParseError, ValueError, KeyError, OSError, json.JSONDecodeError) as err:
+    except _INVALID as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     _emit(result, args.json)
-    return 0
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

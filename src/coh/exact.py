@@ -6,10 +6,12 @@ when available (it is an order of magnitude faster); ``fractions.Fraction``
 is a drop-in fallback.
 
 Integer input stays integer: `common_denominator`, `integerize` and the
-forward elimination behind `mat_rank` and `det` read a value's numerator
-and denominator and compute with ``int`` only, so they build no rational
-for a vector or matrix of ints.  The elimination is fraction-free
-(Bareiss): each row is first scaled to integers, which changes no rank.
+elimination behind `mat_rank`, `det` and `reduced_echelon` read a value's
+numerator and denominator and compute with ``int`` only, so they build no
+rational for a vector or matrix of ints.  There is one elimination loop,
+fraction-free (Bareiss): each row is first scaled to integers, which
+changes no rank, and `reduced_echelon` runs it as Gauss-Jordan to give the
+reduced row echelon form times one integer.
 """
 
 from __future__ import annotations
@@ -97,17 +99,21 @@ def integerize(values: Sequence) -> tuple[int, ...]:
 # Dense exact linear algebra (small systems only).
 
 
-def _echelon(rows: Sequence[Sequence]) -> tuple[int, int, int]:
-    """Fraction-free forward elimination (Bareiss, 1968) of the rows, each
-    first scaled to integers by its least common denominator: (rank, minor,
-    scale).  `scale` is the product of those denominators.  `minor` is the
-    last pivot with the sign of the row permutation, the determinant of the
-    scaled rows when they are square and of full rank.
+def _echelon(rows: Sequence[Sequence], reduce: bool = False) -> tuple[int, int, int, list[list[int]]]:
+    """Fraction-free elimination (Bareiss, 1968) of the rows, each first
+    scaled to integers by its least common denominator: (rank, minor,
+    scale, matrix).  `scale` is the product of those denominators.  `minor`
+    is the last pivot with the sign of the row permutation, the determinant
+    of the scaled rows when they are square and of full rank.
 
     After k pivots every entry below them is a (k+1)-minor of the scaled
     rows (Sylvester's identity), so each division by the previous pivot is
     exact, and an entry is zero exactly where rational elimination has a
-    zero: the pivots, and so the rank, are those over the rationals.
+    zero: the pivots, and so the rank, are those over the rationals.  With
+    `reduce` the rows above each pivot are eliminated by the same step
+    (Gauss-Jordan); the first `rank` rows of the matrix are then the rows of
+    the reduced row echelon form times the last pivot, which every one of
+    them holds at its own pivot column.
     """
     m, scale = [], 1
     for row in rows:
@@ -127,13 +133,14 @@ def _echelon(rows: Sequence[Sequence]) -> tuple[int, int, int]:
             sign = -sign
         top = m[rank]
         head = top[col]
-        for r in range(rank + 1, nrows):
+        below = range(rank + 1, nrows)
+        for r in [*range(rank), *below] if reduce else below:
             row = m[r]
             f = row[col]
             m[r] = [(head * x - f * y) // prev for x, y in zip(row, top)]
         prev = head
         rank += 1
-    return rank, sign * prev, scale
+    return rank, sign * prev, scale, m
 
 
 def mat_rank(rows: Sequence[Sequence]) -> int:
@@ -141,50 +148,15 @@ def mat_rank(rows: Sequence[Sequence]) -> int:
     return _echelon(rows)[0]
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = [[Rat(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    if not m:
-        return m, pivots
-    nrows, ncols = len(m), len(m[0])
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = m[row][col]
-        m[row] = [x / inv for x in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    return m, pivots
-
-
-def nullspace(rows: Sequence[Sequence]) -> list[tuple]:
-    """Basis of the right null space {x : rows @ x = 0} as rational tuples."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    reduced, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [ZERO] * ncols
-        vec[f] = ONE
-        for r, p in enumerate(pivots):
-            vec[p] = -reduced[r][f]
-        basis.append(tuple(vec))
-    return basis
+def reduced_echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """The nonzero rows of the reduced row echelon form of `rows`, all
+    multiplied by one nonzero integer D so that they are integers, and
+    their pivot columns.  Each row holds D at its pivot column."""
+    rank, _, _, m = _echelon(rows, reduce=True)
+    return m[:rank], [next(c for c, x in enumerate(row) if x) for row in m[:rank]]
 
 
 def det(rows: Sequence[Sequence]):
     """Exact determinant of a square rational matrix."""
-    rank, minor, scale = _echelon(rows)
+    rank, minor, scale, _ = _echelon(rows)
     return Rat(minor, scale) if rank == len(rows) else ZERO

@@ -6,7 +6,7 @@ integers P and d = den(v) > 0 with v = P/d, so gcd(*P, d) = 1 and equal
 points are equal pairs.  The pairs are sorted in the lexicographic order
 of their rational values (`_sorted_pairs`); `vertices` rebuilds the
 rational tuples from them for the readers that need rationals (JSON,
-witnesses, LP inputs, facet enumeration and the volume oracle).
+witnesses, LP inputs and the volume oracle).
 
 Halfspaces are pairs ``(a, b)`` of an integer normal and integer offset
 meaning ``a·x <= b``; the pair is gcd-reduced jointly (a rational facet
@@ -23,9 +23,11 @@ tight tests are integer cross-multiplications on the pairs, and so are the
 containment tests (`contains`, `includes`).
 Facet enumeration reduces to vertex enumeration of the polar dual inside the
 affine hull, cut from a box that bounds the polar in closed form by LP
-duality (`_polar_box`), so it solves no LP.  Both directions are exact, and
-the facets are re-verified against every vertex before they are returned;
-the scale intended here is dimension <= 6.
+duality (`_polar_box`), so it solves no LP.  It reads the pairs and computes
+in integers too: the hull's basis is the fraction-free reduced form of the
+vertex differences, and the polar's rows and box are scaled to integers.
+Both directions are exact, and the facets are re-verified against every
+vertex before they are returned; the scale intended here is dimension <= 6.
 """
 
 from __future__ import annotations
@@ -46,9 +48,8 @@ from .exact import (
     dot,
     integerize,
     mat_rank,
-    nullspace,
     rat_str,
-    rref,
+    reduced_echelon,
 )
 from .record import Record
 
@@ -171,7 +172,7 @@ class Polytope:
     @property
     def halfspaces(self) -> tuple[HalfSpace, ...]:
         if self._halfspaces is None:
-            self._halfspaces = _facets(self.vertices, self.dim)
+            self._halfspaces = _facets(self.pairs, self.dim)
         return self._halfspaces
 
     def affine_dim(self) -> int:
@@ -355,84 +356,95 @@ def membership(point: Sequence, poly: Polytope) -> MembershipCertificate:
 # Facet enumeration (V -> H) via the polar dual inside the affine hull.
 
 
-def _facets(vertices: tuple[Point, ...], dim: int) -> tuple[HalfSpace, ...]:
+def _facets(pairs: tuple[Pair, ...], dim: int) -> tuple[HalfSpace, ...]:
+    """The facets of the hull of the points P/d, in integers: see "Facets
+    without LPs" in docs/design-notes.md.  A point x has the hull
+    coordinates U = L·B(x - x0): x0 = P0/d0 is the first point, B the
+    integer reduced basis of the hull's directions, L the lcm of every d·d0."""
     if dim > MAX_FACET_DIM:
         raise FacetDimensionError(
             f"facet enumeration capped at dimension {MAX_FACET_DIM} (got {dim})"
         )
     if dim == 0:
         return ()
-    base = vertices[0]
-    diffs = [[x - y for x, y in zip(v, base)] for v in vertices[1:]]
-    reduced, pivots = rref(diffs)
+    P0, d0 = pairs[0]
+    # (P/d - x0)·d·d0 for every point, the first one included.
+    diffs = [[p * d0 - q * d for p, q in zip(P, P0)] for P, d in pairs]
+    basis, pivots = reduced_echelon(diffs[1:])
     rank = len(pivots)
-    if rank == 0:  # one point, however often it is listed
-        return tuple(sorted(Polytope._box(dim, base, base).halfspaces))
     facets: list[HalfSpace] = []
-    basis = [tuple(reduced[r]) for r in range(rank)]
 
-    # Equalities: every vector orthogonal to the hull's direction space.
-    for w in nullspace(basis):
-        a, b = _norm_halfspace(w, dot(w, base))
-        facets.append((a, b))
-        facets.append(_norm_halfspace([-x for x in a], -b))
+    # Equalities: the null space of the basis, w with w·x = w·x0.  For a
+    # single point (rank 0) these are all the facets, the point's box.
+    D = basis[0][pivots[0]] if basis else 1
+    for f in range(dim):
+        if f in pivots:
+            continue
+        w = [0] * dim
+        w[f] = D
+        for row, p in zip(basis, pivots):
+            w[p] = -row[f]
+        a, b = _norm_halfspace([d0 * x for x in w], sum(map(mul, w, P0)))
+        facets += [(a, b), _norm_halfspace([-x for x in a], -b)]
 
-    # Coordinates within the hull: u(v) = B (v - base).
-    def hull_coords(v: Point) -> Point:
-        d = [x - y for x, y in zip(v, base)]
-        return tuple(dot(row, d) for row in basis)
-
-    upoints = [hull_coords(v) for v in vertices]
-
+    L = lcm(*[d * d0 for _, d in pairs])
+    upoints = [
+        [sum(map(mul, row, diff)) * (L // (d * d0)) for row in basis]
+        for diff, (_, d) in zip(diffs, pairs)
+    ]
+    inner: list = []
     if rank == 1:
-        lo = min(u[0] for u in upoints)
-        hi = max(u[0] for u in upoints)
-        inner = [((ONE,), hi), ((-ONE,), -lo)]
-    else:
-        centroid = tuple(sum(u[i] for u in upoints) / len(upoints) for i in range(rank))
-        polar_rows = [[x - c for x, c in zip(u, centroid)] for u in upoints]
-        box_lo, box_hi = _polar_box(polar_rows, rank)
-        # The polar dual, vertex-enumerated by cutting its bounding box.
-        polar = Polytope._box(rank, box_lo, box_hi)
-        for row in polar_rows:
-            polar = polar.cut(row, ONE)
-        inner = []
-        for y in polar.vertices:
-            inner.append((y, ONE + dot(y, centroid)))
+        values = [U[0] for U in upoints]
+        inner = [((1,), max(values)), ((-1,), -min(values))]
+    elif rank > 1:
+        # The polar dual about the centroid c = ΣU/m: W_i·y <= 1 with
+        # W_i = U_i/L - c, here scaled by m·L.
+        m = len(upoints)
+        total = [sum(col) for col in zip(*upoints)]
+        rows = [[m * u - t for u, t in zip(U, total)] for U in upoints]
+        polar = Polytope._box(rank, *_polar_box(rows, m * L))
+        for row in rows:
+            polar = polar.cut(row, m * L)
+        # A polar vertex y = Y/e gives the facet y·U/L <= 1 + y·c.
+        inner = [([m * y for y in Y], m * L * e + sum(map(mul, Y, total))) for Y, e in polar.pairs]
 
-    # Lift a facet a'·u <= b' through u = B(x - base).
+    # Lift a'·U <= b' to x: L·(Bᵀa')·(x - x0) <= b', times d0.
     for a_u, b_u in inner:
-        lifted = [dot([row[i] for row in basis], a_u) for i in range(dim)]
-        offset = b_u + dot(lifted, base)
-        facets.append(_norm_halfspace(lifted, offset))
+        n = [sum(map(mul, col, a_u)) for col in zip(*basis)]
+        facets.append(_norm_halfspace([L * d0 * x for x in n], b_u * d0 + L * sum(map(mul, n, P0))))
 
     facets = sorted(set(facets))
-    if not all(dot(a, v) <= b for a, b in facets for v in vertices):
+    if not all(_inside(facets, P, d) for P, d in pairs):
         raise AssertionError("facets failed re-verification")
     return tuple(facets)
 
 
-def _polar_box(rows: list[list], rank: int) -> tuple[list, list]:
-    """A box containing {y : row·y <= 1 for every row} strictly, by LP duality.
+def _polar_box(rows: list[list[int]], offset: int) -> tuple[list[int], list[int]]:
+    """An integer box containing {y : row·y <= offset for every row}
+    strictly, by LP duality.
 
     The rows W sum to zero and span the rank-dimensional space.  If
-    Wᵀλ = e_j with λ >= 0, every point of the polar has y_j = λ·(W y) <= Σλ.
-    One rref of [Wᵀ | I] gives α with Wᵀα = e_j (the j-th column of the
-    transform on the pivot columns, 0 elsewhere); α + t·1 solves it too, as
-    the rows sum to zero, and t = max(0, -min α) makes it nonnegative.  The
-    same with -e_j bounds y_j from below.  The margin of 1 keeps every box
-    facet slack on the polar.
+    Wᵀλ = e_j with λ >= 0, every point of the polar has
+    y_j = λ·(W y) <= offset·Σλ.  The fraction-free reduction of [Wᵀ | I]
+    gives D·α with Wᵀα = e_j (the j-th column of the transform on the pivot
+    columns, 0 elsewhere); α + t·1 solves it too, as the rows sum to zero,
+    and t = max(0, -min α) makes it nonnegative.  The same with -e_j bounds
+    y_j from below.  Each bound is rounded outward and moved out by 1, so
+    every box facet is slack on the polar.
     """
-    m = len(rows)
-    reduced, _ = rref(
-        [[row[j] for row in rows] + [ONE if k == j else ZERO for k in range(rank)] for j in range(rank)]
+    m, rank = len(rows), len(rows[0])
+    reduced, pivots = reduced_echelon(
+        [[row[j] for row in rows] + [int(k == j) for k in range(rank)] for j in range(rank)]
     )
+    D = reduced[0][pivots[0]]
     box_lo, box_hi = [], []
     for j in range(rank):
-        alpha = [reduced[k][m + j] for k in range(rank)]
+        alpha = [row[m + j] * D for row in reduced]  # D²·α
         total = sum(alpha)
-        box_hi.append(total + m * max(ZERO, -min(alpha)) + 1)
-        box_lo.append(total - m * max(ZERO, max(alpha)) - 1)
+        hi = offset * (total + m * max(0, -min(alpha)))
+        lo = offset * (total - m * max(0, max(alpha)))
+        box_hi.append(-(-hi // (D * D)) + 1)
+        box_lo.append(lo // (D * D) - 1)
     return box_lo, box_hi
 
 

@@ -237,7 +237,7 @@ class TestErrorsAndCaps:
         # Left-associative chains and postfix powers are built by loops the
         # nesting cap does not count; every walk over the result is
         # iterative, so the depth cap reports them, with atoms or without.
-        # A batch names the query.
+        # A batch names the query, and answers it with an error entry.
         prefix = ""
         if argv[-1] == "BATCH":
             path = tmp_path / "deep.json"
@@ -245,8 +245,10 @@ class TestErrorsAndCaps:
             argv = ["batch", str(path)]
             prefix = "batch query 0: "
         code, out, err = run_cli(*argv, "--json")
-        assert code == 3 and out == ""
+        assert code == 3
         assert re.fullmatch(rf"error: {prefix}formula depth 300[01] exceeds the cap of 12\n", err)
+        message = err[len("error: " + prefix) : -1]
+        assert out == (json.dumps([{"error": message, "exit": 3}]) + "\n" if prefix else "")
 
 
 RATIONAL = {"type": "string", "pattern": r"^-?\d+(/\d+)?$"}
@@ -373,9 +375,10 @@ class TestBatch:
         path = tmp_path / "batch.json"
         path.write_text(json.dumps([{"events": ["x"], "book": [0.5]}]))
         code, out, err = run_cli("batch", str(path), "--json")
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert code == 2
+        assert err.startswith("error: batch query 0: ") and err.count("\n") == 1
         assert "exact rational" in err
+        assert json.loads(out) == [{"error": err[len("error: batch query 0: ") : -1], "exit": 2}]
 
     @pytest.mark.parametrize(
         "second, code, message",
@@ -386,11 +389,14 @@ class TestBatch:
         ids=["parse-exit-2", "cap-exit-3"],
     )
     def test_error_while_running_names_the_query(self, tmp_path, second, code, message):
+        # The bad query gets an error entry; the good ones around it are answered.
+        first, third = {"events": ["x"], "book": ["1/2"]}, {"events": ["x"]}
         path = tmp_path / "batch.json"
-        path.write_text(json.dumps([{"events": ["x"], "book": ["1/2"]}, second, {"events": ["x"]}]))
+        path.write_text(json.dumps([first, second, third]))
         got, out, err = run_cli("batch", str(path), "--json")
-        assert (got, out) == (code, "")
+        assert got == code
         assert err == f"error: batch query 1: {message}\n"
+        assert json.loads(out) == [run_query(first), {"error": message, "exit": code}, run_query(third)]
 
     def test_book_as_mapping(self):
         result = run_query({"events": ["x|~x"], "book": {"x|~x": "1/4"}})
@@ -404,8 +410,14 @@ class TestQueryDocuments:
         path = tmp_path / "query.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(*argv, str(path), "--json")
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        lines = err.splitlines()
+        assert code == 2 and lines and all(line.startswith("error: ") for line in lines)
+        if argv[0] == "batch":
+            # Every query of these documents fails: one entry and one line each.
+            entries = [{"error": line.split(": ", 2)[2], "exit": 2} for line in lines]
+            assert json.loads(out) == entries and len(entries) == len(doc)
+        else:
+            assert out == "" and len(lines) == 1
         return err
 
     def test_batch_of_non_objects(self, tmp_path):
@@ -477,6 +489,15 @@ _QUERY = st.one_of(
 )
 
 
+# Small valid queries of several operations.
+_GOOD_QUERIES = [
+    {"events": ["x"], "book": ["1/2"]},
+    {"events": ["x|y"]},
+    {"events": ["x"], "book": ["1/3"], "new": "~x"},
+    {"premise": "P(x)", "conclusion": "P(x)+P(x)"},
+]
+
+
 class TestDocumentFuzz:
     """Any batch document is answered with exit 0, 2 or 3, and anything on
     stderr is `error:` lines."""
@@ -495,6 +516,25 @@ class TestDocumentFuzz:
             code, _, err = run_cli("batch", str(path), "--json")
         assert code in (0, 2, 3)
         assert all(line.startswith("error: ") for line in err.splitlines())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(_GOOD_QUERIES) | _QUERY, min_size=2, max_size=4))
+    def test_mixed_queries_get_one_entry_each(self, queries):
+        # A bad query sinks no other: each good one is answered as it is
+        # alone, each bad one has an error entry and an `error:` line, and
+        # the batch exits with the highest code.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "batch.json"
+            path.write_text(json.dumps(queries), encoding="utf-8")
+            code, out, err = run_cli("batch", str(path), "--json")
+        entries = json.loads(out)
+        assert len(entries) == len(queries)
+        failed = [i for i, entry in enumerate(entries) if set(entry) == {"error", "exit"}]
+        assert err.splitlines() == [f"error: batch query {i}: {entries[i]['error']}" for i in failed]
+        assert code == max([entries[i]["exit"] for i in failed], default=0)
+        for i, (query, entry) in enumerate(zip(queries, entries)):
+            if i not in failed:
+                assert entry == run_query(query)
 
 
 def _readme_commands() -> list[list[str]]:

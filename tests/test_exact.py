@@ -4,7 +4,9 @@ import math
 import random
 from fractions import Fraction
 
-from coh.exact import _echelon, det, integerize, mat_rank, rref
+from coh.exact import _echelon, det, integerize, mat_rank, reduced_echelon
+
+from util import rref
 
 
 def _reference_det(rows):
@@ -47,8 +49,15 @@ class TestFractionFree:
         deficient = square = 0
         for trial in range(3000):
             rows = _random_matrix(rng, rational=trial % 2 == 0)
-            rank = len(rref(rows)[1]) if rows else 0
+            reduced, pivots = rref(rows)
+            rank = len(pivots)
             assert mat_rank(rows) == rank, rows
+            # The reduced form is D·rref, in ints, with D at every pivot.
+            integer, integer_pivots = reduced_echelon(rows)
+            D = integer[0][pivots[0]] if pivots else 1
+            assert integer_pivots == pivots, rows
+            assert integer == [[D * x for x in reduced[r]] for r in range(rank)], rows
+            assert all(type(x) is int for row in integer for x in row), rows
             if not rows:
                 continue
             deficient += rank < min(len(rows), len(rows[0]))

@@ -3,15 +3,17 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from coh import simplex
-from coh.exact import ONE, Rat, ZERO, dot, mat_rank, vec_content
+from coh.exact import ONE, Rat, ZERO, common_denominator, dot, mat_rank, vec_content
 from coh.polytope import (
     DimensionError,
     Polytope,
     _facets,
+    _pair,
     _polar_box,
     membership,
 )
@@ -306,23 +308,57 @@ def _random_point_set(rng):
     return sorted(points), dim
 
 
+def _pairs(points):
+    return tuple(map(_pair, points))
+
+
 class TestFacets:
     def test_matches_lp_box_reference(self):
-        # The closed-form polar box against the LP-bounded one: both contain
-        # the polar strictly, so the facets are the same sorted tuple.
+        # The closed-form integer polar box against the rational LP-bounded
+        # one: both contain the polar strictly, so the facets are the same
+        # sorted tuple.
         rng = random.Random(41)
         lower, single, repeated = 0, 0, 0
         for _ in range(420):
             points, dim = _random_point_set(rng)
-            assert _facets(points, dim) == reference_facets(points, dim), (points, dim)
+            assert _facets(_pairs(points), dim) == reference_facets(points, dim), (points, dim)
             lower += _affine_rank(points) < dim
             single += len(points) == 1
             repeated += len(set(points)) < len(points)
         assert lower >= 100 and single >= 20 and repeated >= 20, (lower, single, repeated)
 
+    def test_any_order_of_the_pairs(self):
+        # The first pair is the base point and the elimination order picks
+        # the basis; neither may show in the facets.
+        rng = random.Random(41)
+        shuffle = random.Random(42)
+        for _ in range(420):
+            points, dim = _random_point_set(rng)
+            pairs = list(_pairs(points))
+            expected = _facets(tuple(pairs), dim)
+            assert _facets(tuple(reversed(pairs)), dim) == expected, (points, dim)
+            shuffle.shuffle(pairs)
+            assert _facets(tuple(pairs), dim) == expected, (points, dim)
+
+    def test_int_pairs_build_no_fraction(self, monkeypatch):
+        rng = random.Random(41)
+        inputs = [(_pairs(points), dim) for points, dim in (_random_point_set(rng) for _ in range(420))]
+        built = []
+        original = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        facets = [_facets(pairs, dim) for pairs, dim in inputs]
+        assert built == []
+        assert all(type(x) is int for hs in facets for a, b in hs for x in (*a, b))
+
     def test_polar_box_contains_polar_strictly(self):
         # Each side of the closed-form box lies beyond the polar's exact
-        # extent along its axis, found by LP.
+        # extent along its axis, found by LP.  The rows go in as integers
+        # over one denominator, with that denominator as the offset.
         rng = random.Random(43)
         checked = 0
         while checked < 100:
@@ -331,7 +367,8 @@ class TestFacets:
                 continue
             centroid = [sum(v[i] for v in points) / len(points) for i in range(dim)]
             rows = [[x - c for x, c in zip(v, centroid)] for v in points]
-            box_lo, box_hi = _polar_box(rows, dim)
+            ints, scale = common_denominator([x for row in rows for x in row])
+            box_lo, box_hi = _polar_box([ints[i : i + dim] for i in range(0, len(ints), dim)], scale)
             for j in range(dim):
                 assert box_lo[j] < reference_polar_bound(j, rows, -1), (points, j)
                 assert box_hi[j] > reference_polar_bound(j, rows, 1), (points, j)
@@ -347,25 +384,26 @@ class TestFacets:
             raise AssertionError("facet enumeration solved an LP")
 
         monkeypatch.setattr(simplex, "solve_standard", refuse)
-        assert [_facets(points, 3) for points in (tetrahedron, triangle_in_3d, cube)] == expected
+        assert [_facets(_pairs(points), 3) for points in (tetrahedron, triangle_in_3d, cube)] == expected
         assert [len(facets) for facets in expected] == [4, 5, 6]
 
     def test_repeated_point_is_one_point(self):
         # Rank 0, not a vertex count of 1, marks a one-point polytope: the
         # same point listed twice must not lose its equalities.
-        p = rp("1/2", "1/3")
+        p = _pair(rp("1/2", "1/3"))
         box = (((-2, 0), -1), ((0, -3), -1), ((0, 3), 1), ((2, 0), 1))
         assert _facets((p,), 2) == _facets((p, p), 2) == _facets((p, p, p), 2) == box
         assert not Polytope(2, (((3, 2), 6),) * 2).contains((ZERO, ZERO))
 
     def test_reverification_is_not_an_assert(self, monkeypatch):
-        # A wrong equality from the null space must be caught by a check that
-        # `python -O` keeps.
+        # A wrong equality must be caught by a check that `python -O` keeps:
+        # given (1, 0) as the reduced basis of the segment (0,0)-(1,1), the
+        # null space yields y = 0, which (1, 1) violates.
         import coh.polytope as pt
 
-        monkeypatch.setattr(pt, "nullspace", lambda rows: [(ONE, ZERO)])
+        monkeypatch.setattr(pt, "reduced_echelon", lambda rows: ([[1, 0]], [0]))
         with pytest.raises(AssertionError, match="facets failed re-verification"):
-            _facets((rp(0, 0), rp(1, 1)), 2)
+            _facets((((0, 0), 1), ((1, 1), 1)), 2)
 
 
 def _random_polytopes(rng):

@@ -106,12 +106,54 @@ def project(poly, coords):
     return Polytope.from_vertices([tuple(v[c] for c in coords) for v in poly.vertices])
 
 
+def rref(rows):
+    """Reduced row echelon form over the rationals: (matrix, pivot columns).
+    The rational Gauss-Jordan elimination that the library's fraction-free
+    one replaced."""
+    m = [[Rat(x) for x in row] for row in rows]
+    pivots = []
+    if not m:
+        return m, pivots
+    nrows, ncols = len(m), len(m[0])
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        inv = m[row][col]
+        m[row] = [x / inv for x in m[row]]
+        for r in range(nrows):
+            if r != row and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+        if row == nrows:
+            break
+    return m, pivots
+
+
+def nullspace(rows):
+    """Basis of the right null space {x : rows @ x = 0} as rational tuples."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    reduced, pivots = rref(rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Rat(0)] * ncols
+        vec[f] = Rat(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -reduced[r][f]
+        basis.append(tuple(vec))
+    return basis
+
+
 def in_hull_bruteforce(point, vertices) -> bool:
     """Membership oracle via Carathéodory: some affinely independent vertex
     subset of size <= dim+1 carries the point with nonnegative weights.
     Exact elimination only; no LP involved."""
-    from coh.exact import rref
-
     point = tuple(Rat(x) for x in point)
     dim = len(point)
     verts = [tuple(Rat(x) for x in v) for v in vertices]
@@ -552,7 +594,6 @@ def reference_polar_bound(j, rows, sense):
 def reference_facets(vertices, dim):
     """Sorted facet halfspaces of conv(vertices) in R^dim, equalities as
     opposite pairs, each (a, b) jointly gcd-reduced."""
-    from coh.exact import nullspace, rref
     from coh.polytope import _norm_halfspace
 
     one = Rat(1)
