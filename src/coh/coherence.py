@@ -14,9 +14,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import simplex
-from .exact import Rat, ZERO, rat_str, vec_content
+from .exact import Rat, ZERO, common_denominator, rat_str, vec_content
 from .formula import Formula, VarContext, canonical_serialize, evaluate_formula, is_event_formula, parse_event
-from .polytope import Polytope, membership, weights_system
+from .polytope import Polytope, membership, weight_lp
 from .pwl import common_refinement, mcnaughton, vertex_values
 from .record import Record
 
@@ -242,10 +242,14 @@ def extension_interval(
     does.  The coherent set of the extended events projects onto that of
     the events, so the lo LP over it is feasible exactly when the book is
     coherent; only when it is not is `check_book` run, to raise
-    IncoherentBookError with the Dutch book.  The lo and hi optima are
-    state witnesses on the extended events, re-verified like `check_book`'s
-    (the events reproduce the prices, the new event lo or hi) before the
-    interval is returned.
+    IncoherentBookError with the Dutch book.  Both LPs solve the integer
+    system `weight_lp` of the hull pairs (P_j, d_j) and the prices' pair
+    (Q, e), with the new event's numerator P_j[k] as the cost of x_j: their
+    optima are e times the price bounds, and w_j = d_j·x_j/e are the convex
+    weights on the hull vertices.  The lo and hi optima are state witnesses
+    on the extended events, re-verified like `check_book`'s (the events
+    reproduce the prices, the new event lo or hi) before the interval is
+    returned.
 
     The new event is parsed and checked before coherence is decided: with
     an incoherent book and an invalid new event, the new event's error is
@@ -255,10 +259,11 @@ def extension_interval(
     psi = parse_event(new_event) if isinstance(new_event, str) else new_event
     extended = ev.extended_with(psi)
     cs = coherent_set(extended)
-    verts = cs.polytope.vertices
+    pairs = cs.polytope.pairs
     k = len(ev)
-    A, b = weights_system([v[:k] for v in verts], bk.prices)
-    objective = [v[k] for v in verts]
+    Q, e = common_denominator(bk.prices)
+    A, b = weight_lp(pairs, (Q, e))
+    objective = [P[k] for P, _ in pairs]
     lo_res = simplex.solve_standard(objective, A, b)
     if lo_res.status == simplex.INFEASIBLE:
         verdict = check_book(ev, bk)
@@ -268,6 +273,6 @@ def extension_interval(
     hi_res = simplex.maximize(objective, A, b)
     assert lo_res.status == simplex.OPTIMAL and hi_res.status == simplex.OPTIMAL
     for res in (lo_res, hi_res):
-        points, weights = _witness(cs, res.x)
-        _verify_state(extended, bk.prices + (res.value,), points, weights)
-    return lo_res.value, hi_res.value
+        points, weights = _witness(cs, [x * d / e for x, (_, d) in zip(res.x, pairs)])
+        _verify_state(extended, bk.prices + (res.value / e,), points, weights)
+    return lo_res.value / e, hi_res.value / e

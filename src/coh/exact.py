@@ -76,8 +76,14 @@ def common_denominator(values: Sequence) -> tuple[list[int], int]:
 
     The values are ints or rationals.  gcd(*T, d) is then 1, so equal
     vectors give equal pairs.  Numerators and denominators go through
-    int(), which makes the result plain ints on either backend.
+    int(), which makes the result plain ints on either backend; a vector
+    of ints is returned as it is, over d = 1.
     """
+    for q in values:
+        if type(q) is not int:
+            break
+    else:
+        return list(values), 1
     d = 1
     for q in values:
         den = int(q.denominator)

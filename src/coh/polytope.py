@@ -6,7 +6,16 @@ integers P and d = den(v) > 0 with v = P/d, so gcd(*P, d) = 1 and equal
 points are equal pairs.  The pairs are sorted in the lexicographic order
 of their rational values (`_sorted_pairs`); `vertices` rebuilds the
 rational tuples from them for the readers that need rationals (JSON,
-witnesses, LP inputs and the volume oracle).
+witnesses and the volume oracle).
+
+The V-hull (`from_vertices`) keeps the extreme points of a cloud.  A point
+that a direction certifies, as the unique maximiser of some linear
+functional over the cloud, is kept without an LP (`_certified`); each
+other point is dropped when one feasibility LP finds it in the hull of the
+points kept so far.  That LP, the certified membership (`membership`, one
+`simplex.lexmin`) and the extension LPs of `coherence` solve the integer
+system `weight_lp` built from the pairs: the weight of P/d scaled by d, so
+that column is (P, d), which leaves every simplex pivot as it is.
 
 Halfspaces are pairs ``(a, b)`` of an integer normal and integer offset
 meaning ``a·x <= b``; the pair is gcd-reduced jointly (a rational facet
@@ -123,22 +132,29 @@ class Polytope:
 
     @classmethod
     def from_vertices(cls, points: Iterable[Sequence]) -> "Polytope":
-        """Convex hull: deduplicate, drop non-extreme points, sort."""
+        """Convex hull: deduplicate, drop non-extreme points, sort.
+
+        A point that `_certified` certifies is kept without an LP; each
+        other point is dropped when an LP finds it in the hull of the points
+        kept so far.  The extreme points are unique, so neither the order
+        of the tests nor which points skip them changes the result.
+        """
         pts = [tuple(p) for p in points]
         if not pts:
             raise ValueError("empty point list")
         dim = len(pts[0])
         if any(len(p) != dim for p in pts):
             raise DimensionError("ragged point dimensions")
-        pts = sorted(set(pts))
-        keep = list(pts)
-        for p in list(keep):
-            if len(keep) == 1:
-                break
-            others = [q for q in keep if q != p]
-            if _in_hull(p, others):
-                keep = others
-        return cls(dim, tuple(map(_pair, keep)))
+        pairs = set(map(_pair, pts))
+        L = lcm(*[d for _, d in pairs])
+        scaled = sorted((tuple(p * (L // d) for p in P), (P, d)) for P, d in pairs)
+        keep = [pair for _, pair in scaled]
+        for pair, extreme in zip(keep, _certified([N for N, _ in scaled])):
+            if not extreme:
+                others = [q for q in keep if q != pair]
+                if _in_hull(pair, others):
+                    keep = others
+        return cls(dim, tuple(keep))
 
     @classmethod
     def _box(cls, dim: int, lo: Sequence, hi: Sequence) -> "Polytope":
@@ -291,18 +307,45 @@ class Polytope:
 # Hull-side primitives.
 
 
-def weights_system(points: Sequence[Point], target: Sequence):
-    """Equality system: convex weights over `points` reproducing `target`."""
-    dim = len(target)
-    A = [[p[i] for p in points] for i in range(dim)]
-    A.append([ONE] * len(points))
-    b = list(target) + [ONE]
-    return A, b
+def _certified(points: list[tuple[int, ...]]) -> list[bool]:
+    """Which of the distinct integer points, sorted, a direction certifies
+    as vertices of their hull: the first and the last point, every corner
+    of their bounding box (each coordinate its column's least or greatest)
+    and every unique maximiser of its own direction n·q - Σq from the
+    centroid.  See "Hull vertices without LPs" in docs/design-notes.md."""
+    n = len(points)
+    columns = list(zip(*points))
+    lo, hi = [min(c) for c in columns], [max(c) for c in columns]
+    total = [sum(c) for c in columns]
+    out = []
+    for i, q in enumerate(points):
+        if i == 0 or i == n - 1 or all(x == a or x == b for x, a, b in zip(q, lo, hi)):
+            out.append(True)
+            continue
+        c = [n * x - t for x, t in zip(q, total)]
+        top = sum(map(mul, c, q))
+        out.append(all(sum(map(mul, c, p)) < top for p in points if p is not q))
+    return out
 
 
-def _in_hull(point: Point, points: Sequence[Point]) -> bool:
-    A, b = weights_system(points, point)
-    return simplex.feasible_point(A, b).status == simplex.OPTIMAL
+def weight_lp(pairs: Sequence[Pair], target: Pair) -> tuple[list[list[int]], list[int]]:
+    """Integer equality system for convex weights w over the points P_j/d_j
+    (their first len(Q) coordinates) that reproduce the point Q/e.
+
+    The unknowns are x_j = e·w_j/d_j: the columns are (P_j, d_j) and the
+    right-hand side is (Q, e).  Scaling a column or the right-hand side by
+    a positive factor leaves every pivot of the simplex as it is, so the
+    basis, the lexicographically least point and the Farkas vector are
+    those of the rational system in w.
+    """
+    Q, e = target
+    A = [[P[i] for P, _ in pairs] for i in range(len(Q))]
+    A.append([d for _, d in pairs])
+    return A, [*Q, e]
+
+
+def _in_hull(point: Pair, pairs: Sequence[Pair]) -> bool:
+    return simplex.feasible_point(*weight_lp(pairs, point)).status == simplex.OPTIMAL
 
 
 class MembershipCertificate(Record):
@@ -324,19 +367,23 @@ class MembershipCertificate(Record):
 def membership(point: Sequence, poly: Polytope) -> MembershipCertificate:
     """Exact membership with a verified certificate either way.
 
-    One lexicographic solve decides it (`simplex.lexmin`): inside, the
-    certificate is the lexicographically least convex weight vector over the
-    sorted vertices, which is unique; outside, its phase 1 gives the Farkas
-    vector that a plain feasibility solve would.
+    One lexicographic solve of the integer system `weight_lp` decides it
+    (`simplex.lexmin`): inside, the certificate is the lexicographically
+    least convex weight vector over the sorted vertices, which is unique;
+    outside, its phase 1 gives the Farkas vector that a plain feasibility
+    solve would.
     """
     p = tuple(point)
     if len(p) != poly.dim:
         raise DimensionError(f"point dim {len(p)} != polytope dim {poly.dim}")
-    verts = poly.vertices
-    res = simplex.lexmin(*weights_system(verts, p))
+    pairs = poly.pairs
+    Q, e = _pair(p)
+    res = simplex.lexmin(*weight_lp(pairs, (Q, e)))
     if res.status == simplex.OPTIMAL:
-        weights = res.x
-        recon = tuple(dot(weights, [v[i] for v in verts]) for i in range(poly.dim))
+        # x_j = e·w_j/d_j; the check reads the weights alone.
+        weights = tuple(x * d / e for x, (_, d) in zip(res.x, pairs))
+        scaled = [w / d for w, (_, d) in zip(weights, pairs)]
+        recon = tuple(dot(scaled, [P[i] for P, _ in pairs]) for i in range(poly.dim))
         if recon != p or sum(weights) != 1 or any(w < 0 for w in weights):
             raise AssertionError("membership weights failed re-verification")
         return MembershipCertificate(inside=True, weights=weights)
@@ -345,7 +392,7 @@ def membership(point: Sequence, poly: Polytope) -> MembershipCertificate:
     normal = integerize(res.farkas[: poly.dim])
     if all(x == 0 for x in normal):  # pragma: no cover - cannot separate with 0
         raise AssertionError("degenerate separator")
-    threshold = max(dot(normal, v) for v in verts)
+    threshold = max(Rat(sum(map(mul, normal, P)), d) for P, d in pairs)
     margin = dot(normal, p) - threshold
     if margin <= 0:
         raise AssertionError("separator failed re-verification")

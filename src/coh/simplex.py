@@ -19,10 +19,13 @@ hyperplanes and Dutch-book stakes.
 One routine, `_solve`, runs phase 1 once and then minimizes a sequence of
 costs on the same tableau, each over the optima of the ones before it.
 `solve_standard` minimizes one cost; `lexmin` minimizes x_1, x_2, ... in
-turn, which gives the lexicographically least feasible point.  The callers
-are hull tests (`feasible_point`) and certified membership (`lexmin`) in
-`polytope`, and the extension LPs in `coherence`.  Facet enumeration solves
-none: it bounds its polar dual in closed form.
+turn, which gives the lexicographically least feasible point.  Every
+system solved comes from `polytope.weight_lp` and is integer: in
+`polytope`, the hull test (`feasible_point`) of each point that no
+direction certifies as a vertex and certified membership (`lexmin`); in
+`coherence`, the two extension solves (`solve_standard` and `maximize`).
+Certified hull vertices and facet enumeration solve none: facets bound
+their polar dual in closed form.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ reports its best pass, so that interpreter start, imports and query
 generation stay outside the time.  REPEATS interpreters run per side
 (default and least 5), the side that goes first alternating from one
 repeat to the next; the script prints the median and the quartiles of the
-best passes of each side, in seconds.  Pytest does not collect this module.
+best passes of each side, in seconds, and in how many of the pairs (one
+interpreter per side each) the second checkout was faster.  Pytest does
+not collect this module.
 """
 
 from __future__ import annotations
@@ -59,15 +61,17 @@ def main(argv: list[str]) -> int:
     if repeats < MIN_REPEATS:
         print(f"error: at least {MIN_REPEATS} repeats", file=sys.stderr)
         return 2
-    times = {side: [] for side in sides}
+    times: list[list[float]] = [[], []]
     for i in range(repeats):
-        for side in sides if i % 2 == 0 else sides[::-1]:
-            times[side].append(best_pass(side, workload, count))
+        for j in (0, 1) if i % 2 == 0 else (1, 0):
+            times[j].append(best_pass(sides[j], workload, count))
     print(f"python {sys.version.split()[0]}, {workload}, first {count} queries of seed 1,"
           f" {repeats} interpreters per side, best of {PASSES} passes each; s")
-    for side, runs in times.items():
+    for side, runs in zip(sides, times):
         q1, median, q3 = statistics.quantiles(runs, n=4)
         print(f"{side}  median {median:.3f}  quartiles {q1:.3f}-{q3:.3f}")
+    wins = sum(new < old for old, new in zip(*times))
+    print(f"{sides[1]} faster in {wins} of {repeats} pairs")
     return 0
 
 

@@ -478,11 +478,12 @@ class TestVertexVerdicts:
 
 
 class TestConsequenceLpCount:
-    """The LPs a consequence query solves are the hull LPs of its coherent
-    set.  Facet enumeration and the vertex reads solve none."""
+    """The LPs a consequence query solves are the hull LPs of the points of
+    its coherent set that no direction certifies as vertices.  Facet
+    enumeration and the vertex reads solve none."""
 
     # Pinned: an LP added on the consequence path changes this count.
-    LP_CALLS = 103
+    LP_CALLS = 9
 
     def test_lp_count_pinned(self, monkeypatch):
         from coh import simplex

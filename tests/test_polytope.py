@@ -66,6 +66,59 @@ class TestConvexHull:
             hull = Polytope.from_vertices(pts)
             assert Polytope.from_vertices(hull.vertices) == hull
 
+    def test_random_clouds_match_bruteforce(self, monkeypatch):
+        # Clouds in dimensions 1-4 with coordinates in [-2, 3], repeated
+        # points, and collinear or lower-dimensional sets.  No kept vertex
+        # lies in the hull of the other inputs, and every dropped point lies
+        # in the hull of the kept ones.  Some points must still need an LP,
+        # with either outcome, so both paths are exercised.
+        outcomes = []
+        feasible = simplex.feasible_point
+
+        def recorded(A, b):
+            res = feasible(A, b)
+            outcomes.append(res.status)
+            return res
+
+        monkeypatch.setattr(simplex, "feasible_point", recorded)
+        rng = random.Random(18)
+
+        def coord():
+            return Rat(rng.randint(-6, 9), rng.choice([1, 2, 3]))
+
+        for dim in range(1, 5):
+            for trial in range(30):
+                size = rng.randint(1, 9 - dim)
+                if trial % 3 == 0:
+                    pts = [tuple(coord() for _ in range(dim)) for _ in range(size)]
+                elif trial % 3 == 1:
+                    base, step = [coord() for _ in range(dim)], [coord() for _ in range(dim)]
+                    pts = [tuple(x + t * s for x, s in zip(base, step)) for t in map(Rat, range(-2, 3))]
+                    pts = rng.sample(pts, rng.randint(1, 5))
+                else:
+                    # On the hyperplane x_last = a·x_rest + c.
+                    a, c = [coord() for _ in range(dim - 1)], coord()
+                    rest = [[coord() for _ in range(dim - 1)] for _ in range(size)]
+                    pts = [(*r, dot(a, r) + c) for r in rest]
+                pts += rng.choices(pts, k=rng.randint(0, 2))
+                hull = Polytope.from_vertices(pts)
+                distinct = set(pts)
+                kept = set(hull.vertices)
+                assert hull.vertices == tuple(sorted(kept)) and kept <= distinct
+                for v in kept:
+                    assert not in_hull_bruteforce(v, [p for p in distinct if p != v]), (pts, v)
+                for p in distinct - kept:
+                    assert in_hull_bruteforce(p, hull.vertices), (pts, p)
+        assert {simplex.OPTIMAL, simplex.INFEASIBLE} <= set(outcomes)
+
+    def test_cube_vertices_solve_no_lp(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the hull solved an LP")
+
+        monkeypatch.setattr(simplex, "feasible_point", refuse)
+        cube = Polytope.cube(3)
+        assert Polytope.from_vertices(cube.vertices) == cube
+
 
 class TestMembership:
     def test_center_of_square_weights(self):
